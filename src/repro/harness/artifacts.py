@@ -127,9 +127,9 @@ def build_artifacts(study: Study | None = None, curves: bool = True) -> Artifact
                        sort_keys=True),
         )
 
-        from ..obs.analyze import attributions_from_tracer, render_attribution
+        from ..obs.analyze import render_attribution
 
-        attributions = attributions_from_tracer(ctx.tracer)
+        attributions = ctx.attributions()
         if attributions:
             bundle.add(
                 "obs/attribution.json",

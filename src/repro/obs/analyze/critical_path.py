@@ -7,9 +7,9 @@ paper keeps circling — *where does the latency actually go?* — by
 decomposing the window into an exclusive, gap-free timeline:
 
 * at every instant the **innermost** live span wins (latest begin, then
-  shortest), so an ``xfer:<link>`` reservation inside a ``send.eager``
-  claims its own time and the remainder of the send attributes to the
-  protocol phase;
+  shortest, then first recorded), so an ``xfer:<link>`` reservation
+  inside a ``send.eager`` claims its own time and the remainder of the
+  send attributes to the protocol phase;
 * instants covered by no span at all become the ``overhead`` phase —
   the software o_send/o_recv costs and scheduling waits that the paper
   notes "obscure latency" for small messages.
@@ -27,7 +27,9 @@ trace file; anything exposing ``name``/``category``/``sim_begin``/
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Iterable, Optional, Sequence
 
 from ...errors import TraceAnalysisError
@@ -149,6 +151,74 @@ def _sim_phase_spans(spans: Iterable[Any]) -> list[Any]:
     return out
 
 
+class _PhaseTimeline:
+    """The phase spans of one trace, sorted by begin, swept per window.
+
+    Every simulation starts its clock near zero, so windows from
+    different cells overlap on one shared simulated timeline and each
+    window clips a large share of the trace.  :meth:`segments` therefore
+    sweeps each window once: a linear filter over the spans that begin
+    before the window ends, then O(k log k) for the k spans overlapping
+    it, instead of rescanning every span for every elementary interval.
+    """
+
+    def __init__(self, spans: Iterable[Any]) -> None:
+        phase_spans = _sim_phase_spans(spans)
+        # the record index breaks the heap's ties: first recorded wins
+        self._spans = sorted(
+            (
+                (span.sim_begin, span.sim_end, index,
+                 phase_of(span.name, span.category), span.name)
+                for index, span in enumerate(phase_spans)
+            ),
+            key=lambda entry: entry[0],
+        )
+        self._begins = [entry[0] for entry in self._spans]
+
+    def segments(
+        self, window_begin: float, window_end: float
+    ) -> list[Segment]:
+        """Exclusive segments of ``[window_begin, window_end]``."""
+        if window_end < window_begin:
+            raise TraceAnalysisError(
+                f"cell window ends before it begins "
+                f"({window_end} < {window_begin})"
+            )
+        clipped = []
+        cuts = {window_begin, window_end}
+        for begin, end, index, phase, name in self._spans[
+            :bisect_left(self._begins, window_end)
+        ]:
+            begin = max(begin, window_begin)
+            end = min(end, window_end)
+            if end > begin:  # zero-length spans attribute no time
+                clipped.append((begin, end, index, phase, name))
+                cuts.add(begin)
+                cuts.add(end)
+        ordered = sorted(cuts)
+        # live spans keyed so the heap top is the innermost: latest
+        # begin, then earliest end (shortest), then first recorded
+        live: list[tuple] = []
+        opened = 0
+        segments: list[Segment] = []
+        owner = start = None
+        for a in ordered[:-1]:  # the elementary interval [a, next cut)
+            while opened < len(clipped) and clipped[opened][0] <= a:
+                begin, end, index, phase, name = clipped[opened]
+                heappush(live, (-begin, end, index, phase, name))
+                opened += 1
+            while live and live[0][1] <= a:
+                heappop(live)
+            here = live[0][3:] if live else (OVERHEAD_PHASE, None)
+            if here != owner:
+                if owner is not None:
+                    segments.append(Segment(start, a, *owner))
+                owner, start = here, a
+        if owner is not None:
+            segments.append(Segment(start, ordered[-1], *owner))
+        return segments
+
+
 def attribute_window(
     spans: Iterable[Any],
     window_begin: float,
@@ -160,42 +230,9 @@ def attribute_window(
     ``spans`` is any iterable of span-like records; only simulated-time
     spans of the phase categories participate, clipped to the window.
     """
-    if window_end < window_begin:
-        raise TraceAnalysisError(
-            f"cell window ends before it begins "
-            f"({window_end} < {window_begin})"
-        )
-    clipped = []
-    for span in _sim_phase_spans(spans):
-        begin = max(span.sim_begin, window_begin)
-        end = min(span.sim_end, window_end)
-        if end > begin:  # zero-length spans attribute no time
-            clipped.append((begin, end, span))
-    # elementary intervals between every span boundary inside the window
-    cuts = {window_begin, window_end}
-    for begin, end, _span in clipped:
-        cuts.add(begin)
-        cuts.add(end)
-    ordered = sorted(cuts)
-    segments: list[Segment] = []
-    for a, b in zip(ordered, ordered[1:]):
-        if b <= a:
-            continue
-        covering = [s for s in clipped if s[0] <= a and s[1] >= b]
-        if covering:
-            # innermost wins: latest begin, then earliest end (shortest)
-            begin, end, owner = max(covering, key=lambda s: (s[0], -s[1]))
-            phase = phase_of(owner.name, owner.category)
-            name = owner.name
-        else:
-            phase, name = OVERHEAD_PHASE, None
-        if segments and segments[-1].phase == phase \
-                and segments[-1].span == name and segments[-1].end == a:
-            segments[-1] = Segment(segments[-1].begin, b, phase, name)
-        else:
-            segments.append(Segment(a, b, phase, name))
     return PhaseAttribution(
-        cell=cell, begin=window_begin, end=window_end, segments=segments
+        cell=cell, begin=window_begin, end=window_end,
+        segments=_PhaseTimeline(spans).segments(window_begin, window_end),
     )
 
 
@@ -207,6 +244,8 @@ def attribute_cells(
 
     ``windows`` defaults to the finished simulated-time spans of the
     ``benchmarks`` category (one per instrumented timed section).
+    Windows over the same range share one sweep; each attribution gets
+    its own copy of the segments.
     """
     if windows is None:
         windows = [
@@ -214,10 +253,16 @@ def attribute_cells(
             if getattr(s, "category", None) == "benchmarks"
             and s.sim_begin is not None and s.sim_end is not None
         ]
+    timeline = _PhaseTimeline(spans)
+    swept: dict[tuple[float, float], list[Segment]] = {}
     out = []
     for window in sorted(windows, key=lambda s: s.sim_begin):
-        out.append(attribute_window(
-            spans, window.sim_begin, window.sim_end, cell=window.name
+        key = (window.sim_begin, window.sim_end)
+        if key not in swept:
+            swept[key] = timeline.segments(*key)
+        out.append(PhaseAttribution(
+            cell=window.name, begin=window.sim_begin, end=window.sim_end,
+            segments=list(swept[key]),
         ))
     return out
 

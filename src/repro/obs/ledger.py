@@ -416,7 +416,6 @@ def record_study_run(
     recorded for ``runs flame``.
     """
     try:
-        from .analyze import attributions_from_tracer
         from .manifest import build_manifest
 
         finished = time.time() if finished is None else finished
@@ -433,8 +432,7 @@ def record_study_run(
         attribution = None
         if obs is not None and getattr(obs, "enabled", False):
             attribution = [
-                a.to_detailed_json()
-                for a in attributions_from_tracer(obs.tracer)
+                a.to_detailed_json() for a in obs.attributions()
             ] or None
         return ledger.record(
             kind="cli",

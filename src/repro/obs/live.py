@@ -31,6 +31,7 @@ snapshot is always internally consistent.
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import time
@@ -212,7 +213,9 @@ class ProgressReporter:
         self.min_interval = min_interval
         self._stream = stream
         self.force = force
-        self._last = 0.0
+        # monotonic() counts from an arbitrary origin (boot, on Linux),
+        # so only -inf guarantees the first tick is never throttled
+        self._last = -math.inf
         self._wrote_any = False
 
     @property

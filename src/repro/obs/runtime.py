@@ -17,7 +17,7 @@ previous hook on exit, so profiling never leaks across tests.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .metrics import DECLARED_COUNTERS, MetricsRegistry, NULL_METRICS, NullMetrics
@@ -33,6 +33,10 @@ class ObsContext:
     metrics: MetricsRegistry | NullMetrics
     profiler: Optional[SimProfiler] = None
     enabled: bool = True
+    #: (tracer stamp, attributions) of the last :meth:`attributions` call
+    _attributed: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def create(
@@ -56,6 +60,22 @@ class ObsContext:
             metrics=metrics,
             profiler=SimProfiler() if profile else None,
         )
+
+    def attributions(self) -> list:
+        """Phase attribution of every benchmark window the tracer holds.
+
+        The artifact bundle and the run ledger both attribute the run;
+        the second caller reuses the first result unless the tracer has
+        recorded since — its kept-plus-dropped record count or its
+        open-span stack differs.
+        """
+        from .analyze import attributions_from_tracer
+
+        tracer = self.tracer
+        stamp = (len(tracer) + tracer.dropped, tracer.open_spans())
+        if self._attributed is None or self._attributed[0] != stamp:
+            self._attributed = (stamp, attributions_from_tracer(tracer))
+        return list(self._attributed[1])
 
 
 #: the disabled context every un-instrumented run lives in

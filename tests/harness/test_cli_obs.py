@@ -7,10 +7,12 @@ carry counters from every instrumented subsystem.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.harness.cli import main
+from repro.obs.ledger import RunLedger
 
 FAST = ["--runs", "2"]
 
@@ -128,6 +130,34 @@ class TestArtifactsMerge:
         assert code == 0
         doc = json.loads((out / "obs" / "metrics.json").read_text())
         assert doc["schema"] == "repro.metrics/v1"
+
+    def test_ledger_attributes_windows_recorded_after_the_bundle(
+        self, tmp_path, capsys
+    ):
+        # the bundle's attribution is reused only while the tracer is
+        # unchanged; table7 records more windows after the bundle
+        def run(*argv):
+            ledger = tmp_path / f"ledger{len(argv)}"
+            code = main([*argv, *FAST, "--quiet",
+                         "--metrics-out", str(tmp_path / "m.json"),
+                         "--ledger-dir", str(ledger)])
+            capsys.readouterr()
+            assert code == 0
+            runs = RunLedger(ledger)
+            return runs.load(runs.resolve("latest")).attribution
+
+        table7 = run("table7")
+        combined = run("table4", "artifacts", "table7",
+                       "--output", str(tmp_path / "bundle"))
+        bundle = json.loads(
+            (tmp_path / "bundle" / "obs" / "attribution.json").read_text()
+        )
+
+        def cells(docs):
+            return Counter(doc["cell"] for doc in docs)
+
+        assert len(combined) > len(bundle)
+        assert cells(combined) == cells(bundle) + cells(table7)
 
     def test_bundle_has_no_metrics_when_obs_off(self, tmp_path, capsys):
         out = tmp_path / "bundle"

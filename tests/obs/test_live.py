@@ -165,6 +165,21 @@ class TestProgressReporter:
         assert stream.getvalue() == first
         assert first.count("\r") == 1
 
+    def test_first_tick_renders_on_a_freshly_started_clock(
+        self, monkeypatch
+    ):
+        # time.monotonic() may read less than min_interval (a host
+        # booted moments ago); the first frame must still render
+        monkeypatch.setattr("repro.obs.live.time.monotonic", lambda: 5.0)
+        stream = _FakeTTY()
+        reporter = ProgressReporter(
+            self._agg(), min_interval=3600.0, stream=stream
+        )
+        reporter.tick()
+        reporter.tick()
+        assert stream.getvalue().count("\r") == 1
+        assert "cells 17/52" in stream.getvalue()
+
     def test_force_bypasses_the_tty_gate(self):
         # --progress=force / REPRO_FORCE_PROGRESS=1: ticker writes to a
         # piped (non-TTY) stream that the default gate would silence

@@ -69,6 +69,54 @@ class TestActivation:
         assert len(ctx.tracer.events()) == 1
 
 
+class TestAttributions:
+    """The bundle and the ledger share one attribution per tracer state."""
+
+    def _window(self, ctx, clock):
+        tracer = ctx.tracer.with_clock(lambda: clock[0])
+        window = tracer.begin("osu.pingpong", "benchmarks")
+        tracer.complete("send.eager", "mpisim", 0.0, 1.0)
+        clock[0] = 2.0
+        return tracer, window
+
+    def test_reused_while_the_tracer_is_unchanged(self):
+        ctx = ObsContext.create()
+        _tracer, window = self._window(ctx, [0.0])
+        window.end()
+        first = ctx.attributions()
+        second = ctx.attributions()
+        assert second is not first
+        assert [a is b for a, b in zip(first, second)] == [True]
+
+    def test_recomputed_after_a_new_record(self):
+        ctx = ObsContext.create()
+        tracer, window = self._window(ctx, [0.0])
+        window.end()
+        first = ctx.attributions()
+        tracer.complete("xfer:a", "netsim", 0.25, 0.5)
+        (second,) = ctx.attributions()
+        assert second is not first[0]
+        assert second.phases["link"] == 0.25
+
+    def test_recomputed_after_a_dropped_record(self):
+        ctx = ObsContext.create(capacity=3)
+        tracer, window = self._window(ctx, [0.0])
+        window.end()
+        tracer.complete("xfer:a", "netsim", 0.25, 0.5)
+        first = ctx.attributions()
+        tracer.complete("xfer:b", "netsim", 0.5, 0.75)  # ring full
+        assert ctx.tracer.dropped == 1
+        assert ctx.attributions()[0] is not first[0]
+
+    def test_recomputed_after_an_open_span_closes(self):
+        ctx = ObsContext.create()
+        _tracer, window = self._window(ctx, [0.0])
+        assert ctx.attributions() == []  # the window is still open
+        window.end()
+        (attribution,) = ctx.attributions()
+        assert attribution.phases == {"eager": 1.0, "overhead": 1.0}
+
+
 class TestInstrumentedWorld:
     def test_pingpong_fills_mpisim_instruments(self, sawtooth):
         from repro.benchmarks.osu.latency import measure_pingpong
