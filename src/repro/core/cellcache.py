@@ -17,9 +17,8 @@ The key covers everything a cell's bytes can depend on:
   record, recursively — any calibration or topology edit re-keys);
 * the benchmark configuration (every :class:`StudyConfig` field except
   the execution-only knobs — ``jobs``/``cache``/``cache_dir`` and the
-  supervision/checkpoint knobs ``cell_timeout``/``max_cell_retries``/
-  ``checkpoint`` — which are byte-neutral by the determinism contract
-  of DESIGN.md 5e/5g);
+  supervision knobs ``cell_timeout``/``max_cell_retries`` — which are
+  byte-neutral by the determinism contract of DESIGN.md 5e/5g);
 * the seed derivation (the root seed is a config field; per-cell
   streams derive purely from ``(seed, cell path)``);
 * the fault plan (recursively, spec by spec);
@@ -30,9 +29,14 @@ The key covers everything a cell's bytes can depend on:
   bump invalidates stale entries loudly (counted and deleted) instead
   of silently missing them.
 
-Corrupt entries (truncated pickle, bad header) are a warning plus a
-recompute, never a crash; cache-directory write failures degrade to an
-uncached run.
+Every entry is written atomically and durably — a fsynced temp file
+renamed into place, then the directory fsynced — as its cell completes,
+so a cache directory is also the resume point of an interrupted study
+(``--resume DIR`` is ``--cache-dir DIR``): a kill leaves only complete
+entries plus, at worst, one orphaned ``*.pkl.tmp.<pid>`` file that no
+load ever reads.  Corrupt entries (truncated pickle, bad header) are a
+warning plus a recompute, never a crash; cache-directory write failures
+degrade to an uncached run.
 """
 
 from __future__ import annotations
@@ -61,8 +65,7 @@ CACHE_SCHEMA = 1
 #: compute — byte-neutral by the determinism contract, so excluded
 #: from the key
 _EXECUTION_FIELDS = frozenset({
-    "jobs", "cache", "cache_dir",
-    "cell_timeout", "max_cell_retries", "checkpoint",
+    "jobs", "cache", "cache_dir", "cell_timeout", "max_cell_retries",
 })
 
 
@@ -229,7 +232,8 @@ class CellCache:
         profile: bool,
         outcome: "CellOutcome",
     ) -> None:
-        """Persist one outcome (atomic write; failures warn, never raise)."""
+        """Persist one outcome (atomic, fsynced write; failures warn,
+        never raise)."""
         digest, key = cell_key(config, task, obs_enabled, profile)
         path = self._path(digest)
         payload = {
@@ -241,10 +245,17 @@ class CellCache:
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            )
+            with open(tmp, "wb") as fh:
+                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
+            # fsync the directory too, or a crash can lose the rename
+            directory = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
         except OSError as exc:
             self._count("store_failed")
             marker = str(self.directory)

@@ -1,40 +1,44 @@
-"""Parallel study execution: cell decomposition, fan-out, merge.
+"""Study cell execution: decomposition, one compute per cell, merge.
 
 The paper's outer protocol is embarrassingly parallel — 13 machines x
 {BabelStream, OSU, Comm|Scope} cells, each an independent bundle of
 binary executions — yet it must stay *bit-deterministic*: the whole
 point of the reproduction is that a table regenerates identically every
-time.  This module reconciles the two:
+time.  This module reconciles the two, and it is the only way a
+registry-machine cell runs, serial or parallel:
 
 * a :class:`CellTask` names one benchmark cell (machine x metric) by
   registry key, so tasks pickle as a few strings;
-* :func:`execute_cell` runs one task in a worker process: it rebuilds
-  the study from the (picklable) config, derives every random stream
-  from ``(study seed, cell path)`` via the stable hash in
-  :mod:`repro.sim.random` — no sequential stream state crosses cells —
-  and captures the complete cell outcome (statistic or degraded
-  marker, resilience entries, tracer records, metric deltas, profiler
-  counts) in a picklable :class:`CellOutcome`;
-* :class:`CellScheduler` fans tasks out through a
-  :class:`~repro.core.supervisor.CellSupervisor` — a supervised worker
+* :func:`execute_cell` runs one task in isolation — in this process at
+  ``jobs`` 1, in a worker process above: it rebuilds the study from the
+  (picklable) config, derives every random stream from ``(study seed,
+  cell path)`` via the stable hash in :mod:`repro.sim.random` — no
+  sequential stream state crosses cells — and captures the complete
+  cell outcome (statistic or degraded marker, resilience entries,
+  tracer records, metric deltas, profiler counts) in a picklable
+  :class:`CellOutcome`;
+* :class:`CellScheduler` computes each cell once — on request at
+  ``jobs`` 1, or per roster group through a
+  :class:`~repro.core.supervisor.CellSupervisor` (a supervised worker
   pool that survives killed/stalled workers with bounded retries, wall
-  deadlines and pool rebuilds — and caches/journals the outcomes; the
-  owning :class:`~repro.core.study.Study` then *consumes* outcomes in
-  the order its builders request cells — roster order — so the
-  resilience log, every ``study.*``/``sim.*`` metric, the trace ring
-  and the rendered tables are byte-identical at any jobs count.
+  deadlines and pool rebuilds) above — serves and feeds the persistent
+  cell cache, and keeps every outcome; the owning
+  :class:`~repro.core.study.Study` then *consumes* an outcome on every
+  request, in the order its builders request cells, so the resilience
+  log, every ``study.*``/``sim.*`` metric, the trace ring and the
+  rendered tables are byte-identical at any jobs count.
 
 Determinism contract (DESIGN.md 5e/5g): result values depend only on
 ``(seed, cell)``; merge effects depend only on consumption order, which
 the builders fix; host wall-times and the execution-layer instruments
-(``supervisor.*``, ``checkpoint.*``, ``cache.*``) are the only fields
-that vary run to run, and every consumer treats them as advisory.
+(``supervisor.*``, ``cache.*``) are the only fields that vary run to
+run, and every consumer treats them as advisory.
 
 Process-level chaos (:class:`~repro.faults.models.WorkerCrash`,
 :class:`~repro.faults.models.WorkerStall`) is applied here, in
 :func:`execute_cell`, keyed on the cell's 1-based roster ordinal and
 dispatch attempt — and only when a supervised dispatch passes an
-ordinal, so the serial in-process path can never SIGKILL the parent.
+ordinal, so the in-process path can never SIGKILL the parent.
 """
 
 from __future__ import annotations
@@ -101,19 +105,21 @@ class CellTask:
         raise BenchmarkConfigError(f"unknown cell method: {self.method!r}")
 
     def run_on(self, study: "Study") -> Any:
-        """Execute this cell on ``study`` (inside a worker process)."""
+        """Compute this cell on ``study``, in this process.
+
+        Runs the cell body (``Study._<method>``) under
+        :meth:`Study._compute` directly: the public method would route
+        the request back through the study's own scheduler.
+        """
+        label = self.label()
         machine = get_machine(self.machine)
+        args: tuple = ()
         if self.method == "cpu_bandwidth":
-            return study.cpu_bandwidth(machine, self.variant == "single")
-        if self.method == "gpu_bandwidth":
-            return study.gpu_bandwidth(machine)
-        if self.method == "host_latency":
-            return study.host_latency(machine, PairKind(self.variant))
-        if self.method == "device_latency":
-            return study.device_latency(machine)
-        if self.method == "commscope":
-            return study.commscope(machine)
-        raise BenchmarkConfigError(f"unknown cell method: {self.method!r}")
+            args = (self.variant == "single",)
+        elif self.method == "host_latency":
+            args = (PairKind(self.variant),)
+        body = getattr(study, f"_{self.method}")
+        return study._compute(lambda: body(machine, *args), label)
 
 
 def plan_tasks(group: str) -> tuple[CellTask, ...]:
@@ -151,9 +157,8 @@ class CellOutcome:
 
     ``result`` is the statistic bundle (or :class:`Degraded` marker)
     the builder needs; the remaining fields are the observability and
-    resilience side effects the serial path would have written into
-    shared state, captured so the parent can replay them at merge
-    time.
+    resilience side effects computing the cell wrote into its own
+    context, captured so the study can replay them on every request.
     """
 
     task: CellTask
@@ -193,15 +198,16 @@ def execute_cell(
     ordinal: int = 0,
     attempt: int = 1,
 ) -> CellOutcome:
-    """Run one cell in isolation (the worker-process entry point).
+    """Run one cell in isolation (in-process at ``jobs`` 1, else the
+    worker-process entry point).
 
-    The worker rebuilds a serial :class:`Study` from the config — its
-    streams and fault injector re-derive every generator from
-    ``(seed, path)``, so no state from sibling cells can leak in — and
-    runs the cell through the exact ``_cell`` machinery the serial path
-    uses: bounded retries stay inside the worker, the cell span and
-    ``study.cell.*`` counters land in the worker's own context, and the
-    whole bundle ships home as one :class:`CellOutcome`.
+    It builds a fresh :class:`Study` from the config — its streams and
+    fault injector re-derive every generator from ``(seed, path)``, so
+    no state from sibling cells or earlier requests can leak in — and
+    runs the cell body through :meth:`Study._compute`: bounded retries
+    stay inside, the cell span and ``study.cell.*`` counters land in
+    this call's own context, and the whole bundle ships home as one
+    :class:`CellOutcome`.
 
     ``ordinal``/``attempt`` identify a *supervised* dispatch (1-based
     roster position and attempt number); they exist solely so armed
@@ -212,7 +218,7 @@ def execute_cell(
     from .study import Study
 
     started = time.perf_counter()
-    study = Study(replace(config, jobs=1, cache=False, checkpoint=None))
+    study = Study(replace(config, jobs=1, cache=False))
     ctx = (
         ObsContext.create(profile=profile, record_values=True)
         if obs_enabled else NULL_CONTEXT
@@ -220,9 +226,9 @@ def execute_cell(
     if ordinal and config.faults is not None:
         _apply_worker_chaos(config.faults, ordinal, attempt)
     # the scheduler/supervisor own this cell's telemetry (start/done
-    # events, progress); the null session here keeps a forked worker —
-    # which inherits the parent's live session *and* its open event-log
-    # fd — from double-emitting through Study._cell
+    # events, progress); the null session here keeps Study._compute —
+    # and a forked worker, which inherits the parent's live session
+    # *and* its open event-log fd — from emitting them a second time
     with live.telemetry(live.NULL_TELEMETRY), obs.observability(ctx):
         result = task.run_on(study)
     return CellOutcome(
@@ -245,43 +251,41 @@ def execute_cell(
 # ---------------------------------------------------------------------------
 
 class CellScheduler:
-    """Fans study cells out to worker processes; serves cached outcomes.
+    """Computes each registry-machine cell once and keeps its outcome.
 
-    Scheduling is lazy and grouped: the first request for a CPU-class
-    cell computes *all* CPU-roster cells in one pool pass (likewise for
-    the GPU roster), so a ``table4`` run never pays for Comm|Scope and
-    a ``table6`` run never pays for the OpenMP sweeps.  Only registry
-    machines participate — a custom machine object falls back to the
-    serial in-process path (returning ``None`` from :meth:`lookup`).
+    At ``jobs`` 1 a cell is computed when it is first requested, in this
+    process, and only that cell — a ``table5`` run never pays for
+    Comm|Scope.  Above one job the first request for a CPU-class cell
+    computes *all* CPU-roster cells in one supervised pool pass
+    (likewise for the GPU roster), since the pool needs a batch to fan
+    out.  Either way the persistent cell cache (``config.cache``) is
+    consulted before computing and fed after.  Only registry machines
+    participate — :meth:`lookup` returns ``None`` for any other machine
+    object, and the study runs that cell in-process.
     """
 
     def __init__(self, config: "StudyConfig") -> None:
         self.config = config
         self.jobs = resolve_jobs(config.jobs)
-        #: persistent cell-result cache (``config.cache``); consulted
-        #: before any fan-out and fed with every freshly computed cell
+        #: persistent cell-result cache (``config.cache``; ``--resume
+        #: DIR`` is ``--cache-dir DIR``): consulted before computing a
+        #: cell and fed with every freshly computed one
         self.cache = None
         if config.cache:
             from .cellcache import CellCache
 
             self.cache = CellCache(config.cache_dir)
-        #: crash-safe checkpoint journal (``--resume``); consulted before
-        #: the cache and appended to as every cell completes
-        self.journal = None
-        if config.checkpoint:
-            from .checkpoint import CheckpointJournal
-
-            self.journal = CheckpointJournal(config.checkpoint)
-        #: one supervisor per scheduled group pass, kept for stats()
+        #: one supervisor per pool pass, kept for stats()
         self._supervisors: list = []
         self._outcomes: dict[tuple[str, ...], CellOutcome] = {}
-        self._groups_done: set[str] = set()
-        #: advisory metadata: host wall time per executed cell label
+        #: group -> {cell label: (1-based roster ordinal, task)}
+        self._rosters: dict[str, dict] = {}
+        #: advisory metadata: host wall time per computed cell label
         self.cell_wall_seconds: dict[str, float] = {}
-        #: advisory metadata: host wall time per scheduled group pass
+        #: advisory metadata: host wall time spent per task group
         self.group_wall_seconds: dict[str, float] = {}
 
-    # -- group scheduling --------------------------------------------------
+    # -- scheduling --------------------------------------------------------
     @staticmethod
     def _group_of(machine) -> Optional[str]:
         """The task group of a machine, or None if it's not the
@@ -298,105 +302,100 @@ class CellScheduler:
             return None
         return group
 
-    def _run_group(self, group: str) -> None:
+    def _roster(self, group: str) -> dict:
+        if group not in self._rosters:
+            self._rosters[group] = {
+                task.label(): (ordinal, task)
+                for ordinal, task in enumerate(plan_tasks(group), start=1)
+            }
+        return self._rosters[group]
+
+    def _run(self, group: str, items: list) -> None:
+        """Serve ``(roster ordinal, task)`` items from the cache or
+        compute them, keeping every outcome.
+
+        The ordinal is stable across cache hits, which is what keeps
+        chaos specs and resumed runs deterministic.
+        """
         ctx = obs.current()
         obs_enabled = bool(ctx.enabled)
         profile = ctx.profiler is not None
         tel = live.current()
-        tasks = plan_tasks(group)
-        config = replace(self.config, jobs=1, cache=False, checkpoint=None)
+        config = replace(self.config, jobs=1, cache=False)
         started = time.perf_counter()
-        tel.cells_planned(["/".join(task.label()) for task in tasks])
-        by_task: dict[CellTask, CellOutcome] = {}
-        #: (1-based roster ordinal, task) — the ordinal is stable across
-        #: journal replays and cache hits, which is what keeps chaos
-        #: specs and resume runs deterministic
+        tel.cells_planned(["/".join(task.label()) for _, task in items])
+
+        def keep(task: CellTask, outcome: CellOutcome, source: str) -> None:
+            label = task.label()
+            self._outcomes[label] = outcome
+            self.cell_wall_seconds["/".join(label)] = outcome.wall_seconds
+            tel.cell_done(
+                "/".join(label), degraded=bool(outcome.degraded),
+                wall_seconds=outcome.wall_seconds, source=source,
+            )
+
         pending: list[tuple[int, CellTask]] = []
-        for ordinal, task in enumerate(tasks, start=1):
+        for ordinal, task in items:
             outcome = None
-            source = ""
-            if self.journal is not None:
-                outcome = self.journal.lookup(config, task, obs_enabled,
-                                              profile)
-                source = "checkpoint"
-            if outcome is None and self.cache is not None:
+            if self.cache is not None:
                 outcome = self.cache.load(config, task, obs_enabled, profile)
-                source = "cache"
-                if outcome is not None and self.journal is not None:
-                    # a cache hit is a completed cell: journal it so a
-                    # later resume no longer depends on the cache
-                    self.journal.record(config, task, obs_enabled, profile,
-                                        outcome)
-            if outcome is not None:
-                by_task[task] = outcome
-                tel.cell_done(
-                    "/".join(task.label()), degraded=bool(outcome.degraded),
-                    wall_seconds=outcome.wall_seconds, source=source,
-                )
-            else:
+            if outcome is None:
                 pending.append((ordinal, task))
+            else:
+                keep(task, outcome, "cache")
 
         def complete(ordinal: int, task: CellTask, outcome: CellOutcome,
                      cacheable: bool) -> None:
-            by_task[task] = outcome
-            tel.cell_done(
-                "/".join(task.label()), degraded=bool(outcome.degraded),
-                wall_seconds=outcome.wall_seconds,
-            )
-            if not cacheable:
-                # supervisor-degraded (host crash/deadline): never let a
-                # host event poison the cache or the journal
-                return
-            if self.journal is not None:
-                self.journal.record(config, task, obs_enabled, profile,
-                                    outcome)
-            if self.cache is not None:
+            keep(task, outcome, "computed")
+            # supervisor-degraded (host crash/deadline) outcomes are not
+            # cacheable: a host event must never poison the cache
+            if cacheable and self.cache is not None:
                 self.cache.store(config, task, obs_enabled, profile, outcome)
 
-        if pending:
-            if self.jobs > 1:
-                from .supervisor import CellSupervisor
+        if self.jobs > 1 and pending:
+            from .supervisor import CellSupervisor
 
-                supervisor = CellSupervisor(
-                    config,
-                    min(self.jobs, len(pending)),
-                    cell_timeout=self.config.cell_timeout,
-                    max_cell_retries=self.config.max_cell_retries,
-                )
-                self._supervisors.append(supervisor)
-                supervisor.run(pending, obs_enabled, profile, complete)
-            else:
-                # serial (--cache/--resume without --jobs): compute
-                # misses in-process through the same worker entry point,
-                # so replayed and fresh outcomes merge identically.
-                # ordinal=0 keeps process chaos disarmed in-process.
-                for ordinal, task in pending:
-                    tel.cell_start("/".join(task.label()), ordinal=ordinal)
-                    complete(ordinal, task,
-                             execute_cell(config, task, obs_enabled, profile),
-                             True)
-        self.group_wall_seconds[group] = time.perf_counter() - started
-        for task in tasks:
-            outcome = by_task[task]
-            label = outcome.task.label()
-            self._outcomes[label] = outcome
-            self.cell_wall_seconds["/".join(label)] = outcome.wall_seconds
-        self._groups_done.add(group)
+            supervisor = CellSupervisor(
+                config,
+                min(self.jobs, len(pending)),
+                cell_timeout=self.config.cell_timeout,
+                max_cell_retries=self.config.max_cell_retries,
+            )
+            self._supervisors.append(supervisor)
+            supervisor.run(pending, obs_enabled, profile, complete)
+        else:
+            # in-process through the worker entry point, so fresh and
+            # replayed outcomes merge identically; ordinal=0 keeps
+            # process chaos disarmed in this process
+            for ordinal, task in pending:
+                tel.cell_start("/".join(task.label()), ordinal=ordinal)
+                complete(ordinal, task,
+                         execute_cell(config, task, obs_enabled, profile),
+                         True)
+        self.group_wall_seconds[group] = (
+            self.group_wall_seconds.get(group, 0.0)
+            + time.perf_counter() - started
+        )
 
     # -- the study-facing API ----------------------------------------------
     def lookup(self, machine, label: tuple[str, ...]) -> Optional[CellOutcome]:
-        """The outcome for one cell, scheduling its group on first need.
+        """The outcome for one cell, computing it on first request.
 
         Returns ``None`` when the cell is outside the scheduler's remit
         (non-registry machine, unknown label) — the study then runs it
-        in-process exactly as a serial study would.
+        in-process on every request.
         """
         group = self._group_of(machine)
         if group is None:
             return None
-        if group not in self._groups_done:
-            self._run_group(group)
-        return self._outcomes.get(tuple(label))
+        label = tuple(label)
+        if label not in self._outcomes:
+            roster = self._roster(group)
+            if label not in roster:
+                return None
+            self._run(group, list(roster.values()) if self.jobs > 1
+                      else [roster[label]])
+        return self._outcomes[label]
 
     def stats(self) -> dict:
         """Advisory execution metadata (host-dependent; never gated on)."""
@@ -408,8 +407,6 @@ class CellScheduler:
         }
         if self.cache is not None:
             out["cache"] = self.cache.stats()
-        if self.journal is not None:
-            out["checkpoint"] = self.journal.stats()
         if self.jobs > 1:
             # always present under --jobs (zeros included) so bench
             # advisory fields are stable run to run

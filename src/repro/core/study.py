@@ -49,7 +49,7 @@ from ..sim.random import (
     NoiseModel,
     RandomStreams,
 )
-from .parallel import CellScheduler, resolve_jobs
+from .parallel import CellScheduler
 from .resilience import Degraded, ResilienceLog, degraded_in, run_cell
 from .results import Statistic
 
@@ -91,9 +91,6 @@ class StudyConfig:
     #: extra dispatch attempts per cell after a worker crash/deadline
     #: kill before the cell degrades to a ``—†`` marker
     max_cell_retries: int = 2
-    #: checkpoint journal path (``--resume``); completed cells append
-    #: as they finish and replay on the next run.  None = no journal.
-    checkpoint: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.runs, int) or self.runs < 1:
@@ -153,10 +150,6 @@ class StudyConfig:
                 f"max_cell_retries must be an int >= 0: "
                 f"{self.max_cell_retries!r}"
             )
-        if self.checkpoint is not None and not isinstance(self.checkpoint, str):
-            raise BenchmarkConfigError(
-                f"checkpoint must be a str or None: {self.checkpoint!r}"
-            )
         sizes = self.latency_sweep_sizes
         if sizes is not None:
             if len(sizes) == 0:
@@ -195,11 +188,12 @@ class Study:
     ``exact`` mode the transport faults additionally run through the
     discrete-event protocol itself (drop -> retransmit machinery).
 
-    With ``config.jobs`` > 1 (or 0 = all cores) registry-machine cells
-    execute on a process pool via :class:`~repro.core.parallel
-    .CellScheduler` and are merged back in request order; results,
-    resilience log, traces and metrics are byte-identical to the serial
-    path at any jobs count (DESIGN.md 5e).
+    Registry-machine cells run through :class:`~repro.core.parallel
+    .CellScheduler`, which computes each cell once — in this process at
+    ``config.jobs`` 1, on a process pool above — and every request
+    replays that outcome in request order; results, resilience log,
+    traces and metrics are byte-identical at any jobs count
+    (DESIGN.md 5e).
     """
 
     def __init__(self, config: StudyConfig | None = None) -> None:
@@ -209,22 +203,15 @@ class Study:
         #: is what keeps ``--faults none`` byte-identical to pre-fault runs
         self.injector = make_injector(self.config.faults, self.streams)
         self.resilience = ResilienceLog()
-        #: fans cells out to supervised worker processes when ``jobs``
-        #: resolves to more than one, and/or serves cells from the
-        #: persistent result cache (``config.cache``) or the checkpoint
-        #: journal (``config.checkpoint``); ``None`` keeps the exact
-        #: serial code path
-        self.scheduler = None
-        if (
-            resolve_jobs(self.config.jobs) > 1
-            or self.config.cache
-            or self.config.checkpoint
-        ):
-            self.scheduler = CellScheduler(self.config)
+        #: computes each registry-machine cell once (in-process at
+        #: ``jobs`` 1, on supervised worker processes above) and serves
+        #: it from the persistent result cache when ``config.cache`` is
+        #: armed
+        self.scheduler = CellScheduler(self.config)
         #: raw result of every cell this study ran, by cell label, in
         #: completion order — the run ledger's :func:`~repro.obs.ledger
         #: .study_metrics_doc` flattens these into comparable metrics.
-        #: A cell rebuilt for a second target overwrites its entry.
+        #: A cell requested for a second target overwrites its entry.
         self.cell_results: dict[tuple[str, ...], object] = {}
 
     # ------------------------------------------------------------------
@@ -252,31 +239,34 @@ class Study:
             return None
         return self.injector.for_cell(*label)
 
-    def _cell(self, fn, *label: str, machine: Machine | None = None):
-        """Run one benchmark cell resiliently (bounded retries, degrade).
+    def _cell(self, fn, *label: str, machine: Machine):
+        """Serve one benchmark cell to a table builder.
+
+        The scheduler computes a registry-machine cell once; this and
+        every later request replay its outcome through :meth:`_consume`.
+        A cell outside the scheduler's remit (a user-built machine, or a
+        mutated copy sharing a registry name) runs in-process through
+        :meth:`_compute` on every request.
+        """
+        outcome = self.scheduler.lookup(machine, label)
+        if outcome is None:
+            result = self._compute(fn, label)
+        else:
+            result = self._consume(outcome)
+        self.cell_results[label] = result
+        return result
+
+    def _compute(self, fn, label: tuple[str, ...]):
+        """Run one cell body resiliently (bounded retries, degrade).
 
         With observability active the cell runs inside a ``study`` span
         carrying the cell label and outcome (degraded, attempts), and
         bumps the ``study.cell.*`` counters; with the null context this
-        is a shared no-op span.
-
-        With a parallel scheduler armed (``config.jobs`` > 1) the cell
-        is served from the scheduler's precomputed outcomes instead:
-        the result, resilience entries, span records and metric deltas
-        the worker captured are merged here, at consumption time, so
-        every side effect lands in the same order the serial loop would
-        have produced it.  Cells the scheduler does not cover (custom
-        machine objects) fall through to the in-process path.
+        is a shared no-op span.  :func:`~repro.core.parallel
+        .execute_cell` runs every registry cell through here, under a
+        null telemetry session (the scheduler reports those cells).
         """
-        if self.scheduler is not None and machine is not None:
-            outcome = self.scheduler.lookup(machine, label)
-            if outcome is not None:
-                result = self._consume(outcome)
-                self.cell_results[label] = result
-                return result
         ctx = obs.current()
-        #: cells the scheduler served already emitted their telemetry in
-        #: the group pass; only the in-process path reports from here
         tel = live.current()
         if tel.enabled:
             tel.cell_start("/".join(label))
@@ -319,19 +309,17 @@ class Study:
                 degraded=bool(degraded_in(result)),
                 wall_seconds=time.perf_counter() - began,
             )
-        self.cell_results[label] = result
         return result
 
     def _consume(self, outcome) -> object:
-        """Merge one worker-computed cell outcome into this study.
+        """Merge one scheduler-computed cell outcome into this study.
 
-        Mirrors, in order, every side effect the in-process path has:
-        degraded entries append to the resilience log, the worker's
-        tracer ring (cell span included) is absorbed, metric deltas
-        replay into the live registry and profiler counts accumulate.
-        Consumption order is the builders' request order — the same
-        order the serial loop executes cells in — which is what makes
-        the merge deterministic at any jobs count.
+        Replays, in order, every side effect :meth:`_compute` has:
+        degraded entries append to the resilience log, the computing
+        context's tracer ring (cell span included) is absorbed, metric
+        deltas replay into the live registry and profiler counts
+        accumulate.  Consumption order is the builders' request order,
+        which is what makes the merge deterministic at any jobs count.
         """
         self.resilience.extend(outcome.degraded)
         ctx = obs.current()
@@ -348,11 +336,9 @@ class Study:
                 ctx.profiler.merge_state(outcome.profiler_state)
         return outcome.result
 
-    def parallel_stats(self) -> dict | None:
-        """Advisory scheduler metadata (jobs, per-cell wall times), or
-        ``None`` on the serial path.  Host-dependent; never gated on."""
-        if self.scheduler is None:
-            return None
+    def parallel_stats(self) -> dict:
+        """Advisory scheduler metadata (jobs, per-cell wall times).
+        Host-dependent; never gated on."""
         return self.scheduler.stats()
 
     def outcome_summary(self) -> dict[str, dict]:

@@ -122,10 +122,9 @@ class CellSupervisor:
     ``run`` drives a list of ``(ordinal, task)`` items to completion:
     every item either completes (``on_complete(..., cacheable=True)``)
     or degrades (``cacheable=False`` — a host event must never poison
-    the persistent cache or the checkpoint journal).  Ordinals are the
-    1-based roster positions from
-    :func:`~repro.core.parallel.plan_tasks`, which is what the
-    deterministic chaos specs key on.
+    the persistent cell cache).  Ordinals are the 1-based roster
+    positions from :func:`~repro.core.parallel.plan_tasks`, which is
+    what the deterministic chaos specs key on.
     """
 
     def __init__(
@@ -215,7 +214,7 @@ class CellSupervisor:
         Returns ``[(ordinal, task, started)]`` for every cell lost to a
         pool break or deadline kill; an empty list means the whole
         batch completed.  Successful outcomes are delivered through
-        ``on_complete`` as they finish — crash safety for the journal.
+        ``on_complete`` as they finish — crash safety for the cache.
         """
         tel = live.current()
         pool = ProcessPoolExecutor(max_workers=workers)
@@ -421,8 +420,8 @@ class CellSupervisor:
 
         The entry flows through the standard resilience merge (footnote
         rendering, ``degraded_count``, exit code 3); ``cacheable=False``
-        keeps this host event out of the persistent cache and the
-        checkpoint journal, so a later run re-attempts the cell.
+        keeps this host event out of the persistent cell cache, so a
+        later run re-attempts the cell.
         """
         from .parallel import CellOutcome
 

@@ -165,10 +165,10 @@ class WorkerCrash:
 
     ``at_cell`` is the 1-based ordinal of the cell in its group roster
     (:func:`~repro.core.parallel.plan_tasks` order) — stable across
-    cache hits and checkpoint replays, so the same cell crashes whether
-    or not its siblings were already journaled.  ``at_cell=0`` disarms
-    the spec.  Bounding by ``crashes`` lets retries genuinely recover;
-    set it above ``max_cell_retries`` to force retry exhaustion.
+    cache hits, so the same cell crashes whether or not its siblings
+    were already cached.  ``at_cell=0`` disarms the spec.  Bounding by
+    ``crashes`` lets retries genuinely recover; set it above
+    ``max_cell_retries`` to force retry exhaustion.
     """
 
     at_cell: int = 0

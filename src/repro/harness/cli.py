@@ -19,8 +19,7 @@ Usage::
     python -m repro bench --repeats 5 --out BENCH_1.json
     python -m repro bench --baseline BENCH_baseline.json   # exit 4 on regression
     python -m repro table4 --jobs 4 --cell-timeout 120   # kill+retry slow cells
-    python -m repro all --resume study.ckpt   # journal cells; replay on rerun
-    python -m repro selfcheck --chaos    # crash-recovery smoke suite
+    python -m repro all --resume study.cells   # rerun replays finished cells
     python -m repro all --jobs 4 --progress   # live cells-done/ETA ticker
     python -m repro all --events-out events.jsonl   # structured run log
     python -m repro all --status-port 0   # live /metrics /progress /healthz
@@ -169,7 +168,6 @@ def run_target(
     obs_smoke: bool = False,
     parallel_smoke: bool = False,
     cache_smoke: bool = False,
-    chaos_smoke: bool = False,
     ledger_smoke: bool = False,
     checks_smoke: bool = False,
 ) -> str:
@@ -217,8 +215,8 @@ def run_target(
     if target == "selfcheck":
         return _run_selfcheck_target(
             study, obs_smoke=obs_smoke, parallel_smoke=parallel_smoke,
-            cache_smoke=cache_smoke, chaos_smoke=chaos_smoke,
-            ledger_smoke=ledger_smoke, checks_smoke=checks_smoke,
+            cache_smoke=cache_smoke, ledger_smoke=ledger_smoke,
+            checks_smoke=checks_smoke,
         )
     raise ValueError(f"unknown target: {target}")
 
@@ -228,7 +226,6 @@ def _run_selfcheck_target(
     obs_smoke: bool = False,
     parallel_smoke: bool = False,
     cache_smoke: bool = False,
-    chaos_smoke: bool = False,
     ledger_smoke: bool = False,
     checks_smoke: bool = False,
 ) -> str:
@@ -236,13 +233,11 @@ def _run_selfcheck_target(
     whenever a fault plan is armed (``--faults smoke`` in CI), the
     observability smoke suite under ``--obs smoke``, the
     parallel-equivalence smoke suite under ``--parallel``, the
-    cell-cache smoke suite under ``--cache``, the crash-recovery
-    smoke suite under ``--chaos``, the run-ledger smoke suite
-    under ``--ledger``, and the regression-check smoke suite under
-    ``--checks``."""
+    cell-cache smoke suite under ``--cache``, the run-ledger smoke
+    suite under ``--ledger``, and the regression-check smoke suite
+    under ``--checks``."""
     from .selfcheck import (
         render_cache_smoke,
-        render_chaos_smoke,
         render_checks_smoke,
         render_fault_smoke,
         render_ledger_smoke,
@@ -250,7 +245,6 @@ def _run_selfcheck_target(
         render_parallel_smoke,
         render_selfcheck,
         run_cache_smoke,
-        run_chaos_smoke,
         run_checks_smoke,
         run_fault_smoke,
         run_ledger_smoke,
@@ -268,8 +262,6 @@ def _run_selfcheck_target(
         parts.append(render_parallel_smoke(run_parallel_smoke()))
     if cache_smoke:
         parts.append(render_cache_smoke(run_cache_smoke()))
-    if chaos_smoke:
-        parts.append(render_chaos_smoke(run_chaos_smoke()))
     if ledger_smoke:
         parts.append(render_ledger_smoke(run_ledger_smoke()))
     if checks_smoke:
@@ -403,15 +395,11 @@ def main(argv: list[str] | None = None) -> int:
              "uncached run (--no-cache forces it off; default: off)",
     )
     parser.add_argument(
-        "--cache-dir", type=str, default="", metavar="DIR",
-        help="cell-cache directory (implies --cache unless --no-cache)",
-    )
-    parser.add_argument(
-        "--resume", type=str, default="", metavar="JOURNAL",
-        help="checkpoint journal file: completed cells append as they "
-             "finish, and a rerun pointing at the same file replays them "
-             "instead of recomputing; output is byte-identical to an "
-             "uninterrupted run",
+        "--cache-dir", "--resume", type=str, default="", metavar="DIR",
+        help="cell-cache directory (implies --cache unless --no-cache); "
+             "every cell is stored as it completes, so rerunning an "
+             "interrupted study on the same DIR replays its finished "
+             "cells, byte-identical to an uninterrupted run",
     )
     parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
@@ -449,11 +437,6 @@ def main(argv: list[str] | None = None) -> int:
         "--parallel", action="store_true",
         help="run the parallel-equivalence smoke suite under the "
              "selfcheck target",
-    )
-    parser.add_argument(
-        "--chaos", action="store_true",
-        help="run the crash-recovery smoke suite (worker kills, retry, "
-             "checkpoint resume) under the selfcheck target",
     )
     parser.add_argument(
         "--events-out", type=str, default="", metavar="FILE",
@@ -519,7 +502,6 @@ def main(argv: list[str] | None = None) -> int:
             cache=cache, cache_dir=args.cache_dir or None,
             cell_timeout=args.cell_timeout,
             max_cell_retries=args.max_cell_retries,
-            checkpoint=args.resume or None,
         ))
     except ReproError as exc:
         parser.error(str(exc))
@@ -605,7 +587,6 @@ def main(argv: list[str] | None = None) -> int:
                         obs_smoke=args.obs == "smoke",
                         parallel_smoke=args.parallel,
                         cache_smoke=cache,
-                        chaos_smoke=args.chaos,
                         ledger_smoke=args.ledger,
                         checks_smoke=args.checks,
                     )
@@ -665,20 +646,12 @@ def main(argv: list[str] | None = None) -> int:
         # the summary goes to stderr so stdout stays pure table text;
         # crash-degraded cells report even under --faults none
         _stderr_report(study.resilience.summary(), args.quiet)
-    if study.scheduler is not None and study.scheduler.cache is not None:
+    if study.scheduler.cache is not None:
         stats = study.scheduler.cache.stats()
         _stderr_report(
             f"cell cache: {stats['hits']} hit(s), {stats['misses']} "
             f"miss(es), {stats['stores']} store(s), "
             f"{stats['invalidated']} invalidated under {stats['directory']}",
-            args.quiet,
-        )
-    if study.scheduler is not None and study.scheduler.journal is not None:
-        stats = study.scheduler.journal.stats()
-        _stderr_report(
-            f"checkpoint: {stats['replayed']} replayed, {stats['recorded']} "
-            f"recorded, {stats['corrupt']} corrupt line(s) under "
-            f"{stats['path']}",
             args.quiet,
         )
     if ctx.enabled:

@@ -215,7 +215,7 @@ def _cmd_show(ledger: RunLedger, args) -> int:
         + (f", wall {wall:.2f}s" if wall is not None else "")
         + ")"
     )
-    for key in ("cache", "checkpoint", "events"):
+    for key in ("cache", "events"):
         if key in outcome:
             print(f"{key}: {outcome[key]}")
     if run.metrics is not None:

@@ -734,134 +734,6 @@ def render_cache_smoke(findings: list[Finding]) -> str:
     return "\n".join(str(f) for f in findings)
 
 
-# ---------------------------------------------------------------------------
-# crash-recovery smoke checks: ``python -m repro selfcheck --chaos``
-# ---------------------------------------------------------------------------
-
-def check_chaos_recovery() -> list[Finding]:
-    """A worker SIGKILLed mid-study must be retried to success: the
-    rendered table is byte-identical to a clean serial run and the
-    supervisor records the recovery (retry + pool rebuild)."""
-    from ..core.study import Study, StudyConfig
-    from ..core.tables import build_table4, render_table4
-    from ..faults import FaultPlan, WorkerCrash
-
-    clean = render_table4(build_table4(Study(StudyConfig(runs=2, seed=11))))
-    plan = FaultPlan("chaos-smoke", (WorkerCrash(at_cell=2, crashes=1),))
-    study = Study(StudyConfig(runs=2, seed=11, jobs=2, faults=plan))
-    text = render_table4(build_table4(study))
-    out = []
-    if text != clean:
-        out.append(Finding("-", "chaos",
-                           "recovered table differs from clean serial run"))
-    stats = (study.parallel_stats() or {}).get("supervisor", {})
-    if stats.get("retried", 0) < 1:
-        out.append(Finding("-", "chaos",
-                           f"no retry recorded after a worker kill: {stats}"))
-    if stats.get("pool_rebuilds", 0) < 1:
-        out.append(Finding("-", "chaos",
-                           f"no pool rebuild recorded: {stats}"))
-    if study.resilience.degraded_count:
-        out.append(Finding("-", "chaos",
-                           "recovered run still degraded cells"))
-    return out
-
-
-def check_chaos_exhaustion() -> list[Finding]:
-    """A cell whose worker dies on every attempt must degrade to the
-    ``—†`` marker with a ``worker failure`` footnote, not crash."""
-    from ..core.resilience import DEGRADED_MARK
-    from ..core.study import Study, StudyConfig
-    from ..core.tables import build_table4, render_table4
-    from ..faults import FaultPlan, WorkerCrash
-
-    plan = FaultPlan("chaos-smoke", (WorkerCrash(at_cell=1, crashes=99),))
-    study = Study(StudyConfig(
-        runs=2, seed=11, jobs=2, faults=plan, max_cell_retries=1,
-    ))
-    text = render_table4(build_table4(study))
-    out = []
-    if DEGRADED_MARK not in text:
-        out.append(Finding("-", "chaos",
-                           "exhausted cell not rendered as degraded"))
-    entries = study.resilience.entries
-    if not any("worker failure" in e.reason for e in entries):
-        out.append(Finding("-", "chaos",
-                           f"no worker-failure footnote: "
-                           f"{[e.reason for e in entries]}"))
-    if not any(e.attempts == 2 for e in entries):
-        out.append(Finding("-", "chaos",
-                           f"expected 2 attempts (1 + 1 retry): "
-                           f"{[e.attempts for e in entries]}"))
-    return out
-
-
-def check_chaos_resume() -> list[Finding]:
-    """A journal truncated mid-study (a killed run) must resume: the
-    second run replays journaled cells, recomputes the rest, and renders
-    byte-identical text."""
-    import tempfile
-    from pathlib import Path
-
-    from ..core.study import Study, StudyConfig
-    from ..core.tables import build_table4, render_table4
-
-    out = []
-    with tempfile.TemporaryDirectory() as tmp:
-        journal = str(Path(tmp) / "study.ckpt")
-
-        def render() -> tuple[str, dict]:
-            study = Study(StudyConfig(
-                runs=2, seed=11, checkpoint=journal,
-            ))
-            text = render_table4(build_table4(study))
-            return text, study.scheduler.journal.stats()
-
-        full_text, full = render()
-        lines = Path(journal).read_bytes().splitlines(keepends=True)
-        Path(journal).write_bytes(b"".join(lines[:10]))
-        resumed_text, resumed = render()
-    if full["recorded"] < 11:
-        out.append(Finding("-", "chaos",
-                           f"first run journaled too few cells: {full}"))
-    if resumed["replayed"] != 10:
-        out.append(Finding("-", "chaos",
-                           f"resume replayed {resumed['replayed']} cells, "
-                           f"expected 10"))
-    if resumed["recorded"] != full["recorded"] - 10:
-        out.append(Finding("-", "chaos",
-                           f"resume recomputed the wrong cells: {resumed}"))
-    if resumed_text != full_text:
-        out.append(Finding("-", "chaos",
-                           "resumed table differs from uninterrupted run"))
-    return out
-
-
-CHAOS_CHECKS = (
-    check_chaos_recovery,
-    check_chaos_exhaustion,
-    check_chaos_resume,
-)
-
-
-def run_chaos_smoke() -> list[Finding]:
-    """Exercise crash recovery and checkpoint resume; empty = healthy."""
-    findings: list[Finding] = []
-    for check in CHAOS_CHECKS:
-        findings.extend(check())
-    return findings
-
-
-def render_chaos_smoke(findings: list[Finding]) -> str:
-    if not findings:
-        return (
-            f"chaos smoke passed: {len(CHAOS_CHECKS)} check families "
-            f"(kill-and-recover byte-identity, retry exhaustion footnote, "
-            f"truncated-journal resume)"
-        )
-    return "\n".join(str(f) for f in findings)
-
-
 PARALLEL_CHECKS = (
     check_parallel_jobs_knob,
     check_parallel_digest,
@@ -1001,7 +873,7 @@ def check_ledger_regression_gate() -> list[Finding]:
 
 def check_ledger_torn_index() -> list[Finding]:
     """A torn index tail must be skipped on read and sealed by the next
-    append — the checkpoint journal's crash discipline."""
+    append — the append-only JSONL crash discipline."""
     import tempfile
 
     from ..obs.ledger import RunLedger

@@ -1,14 +1,14 @@
 """Structured run events: a crash-safe JSONL log of what a study did.
 
-A long supervised study (``--jobs``, checkpoint/resume, chaos retries)
-is opaque while it runs: traces, metrics and attribution all render
+A long supervised study (``--jobs``, cache resume, chaos retries) is
+opaque while it runs: traces, metrics and attribution all render
 *after* exit.  This module is the machine-readable counterpart of the
-stderr reports — every state transition the scheduler, supervisor,
-checkpoint journal and cell cache go through is appended to an event
-log **as it happens**, one JSON object per line, flushed per line, so
-the log is valid after a kill at any byte offset (the worst case is one
-torn final line, which :func:`read_events` skips and counts — the same
-discipline as :class:`~repro.core.checkpoint.CheckpointJournal`).
+stderr reports — every state transition the scheduler, supervisor and
+cell cache go through is appended to an event log **as it happens**,
+one JSON object per line, flushed per line, so the log is valid after a
+kill at any byte offset (the worst case is one torn final line, which
+:func:`read_events` skips and counts — the :mod:`repro.obs.jsonl`
+discipline the run ledger's index shares).
 
 Event kinds (:data:`EVENT_KINDS`) form a small closed vocabulary with a
 stable schema tag (``repro.events/v1``):
@@ -22,8 +22,8 @@ stable schema tag (``repro.events/v1``):
   per dispatch *attempt* of a cell and exactly one terminal event per
   cell, so ``count(cell_start) >= count(cell_done) + count(cell_degraded)``
   always and equality holds exactly when no attempt was retried;
-* ``cache_hit`` / ``checkpoint_replay`` — a cell served from the
-  persistent cache or the resume journal instead of computed;
+* ``cache_hit`` — a cell served from the persistent cell cache (a
+  ``--resume`` directory included) instead of computed;
 * ``worker_crash`` / ``pool_rebuild`` — supervisor recovery activity.
 
 Events are *telemetry*, not results: timestamps are host wall-clock,
@@ -35,13 +35,13 @@ an un-flagged run byte-identical.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
+
+from .jsonl import append_line, open_append, read_jsonl
 
 #: schema tag stamped on every line; bump on any layout change so
 #: consumers can reject lines written under another vocabulary
@@ -58,7 +58,6 @@ EVENT_KINDS = frozenset({
     "worker_crash",
     "pool_rebuild",
     "cache_hit",
-    "checkpoint_replay",
     "run_end",
 })
 
@@ -85,10 +84,6 @@ class EventLog:
         self._lock = threading.Lock()
         self._fh = None
         self._warned = False
-        #: the existing file ends in a torn (newline-less) line from a
-        #: killed run; the first append must seal it (same discipline as
-        #: the checkpoint journal's tail sealing)
-        self._tail_torn = False
         self._opened = False
 
     # -- plumbing ----------------------------------------------------------
@@ -97,14 +92,8 @@ class EventLog:
             return self._fh
         self._opened = True
         try:
-            try:
-                raw_tail = self.path.read_bytes()[-1:]
-                self._tail_torn = raw_tail not in (b"", b"\n")
-            except OSError:
-                pass  # no log yet: a fresh file
-            if self.path.parent != Path("."):
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a")
+            # a torn final line from a killed run is sealed here
+            self._fh = open_append(self.path)
         except OSError as exc:
             self._fh = None
             if not self._warned:
@@ -128,26 +117,17 @@ class EventLog:
             )
         with self._lock:
             fh = self._open()
-            line = json.dumps(
-                {
+            if fh is None:
+                self.dropped += 1
+                return
+            try:
+                append_line(fh, {
                     "schema": EVENT_SCHEMA,
                     "seq": self._seq,
                     "ts": time.time(),
                     "kind": kind,
                     "attrs": attrs,
-                },
-                sort_keys=True,
-            )
-            if fh is None:
-                self.dropped += 1
-                return
-            try:
-                if self._tail_torn:
-                    fh.write("\n")
-                    self._tail_torn = False
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+                })
             except (OSError, ValueError):
                 self.dropped += 1
                 return
@@ -175,28 +155,14 @@ def read_events(path: str | Path) -> tuple[list[dict], int]:
     """Parse an event log back: ``(events, skipped_lines)``.
 
     Unparseable lines (a torn final write) and lines carrying another
-    schema tag are skipped and counted, never raised on — mirroring the
-    checkpoint journal's load discipline.
+    schema tag or an unknown kind are skipped and counted, never raised
+    on.
     """
-    events: list[dict] = []
-    skipped = 0
-    try:
-        raw = Path(path).read_bytes()
-    except OSError:
-        return events, skipped
-    for line in raw.splitlines():
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-            if doc["schema"] != EVENT_SCHEMA or doc["kind"] not in EVENT_KINDS:
-                skipped += 1
-                continue
-        except Exception:
-            skipped += 1
-            continue
-        events.append(doc)
-    return events, skipped
+    return read_jsonl(
+        path,
+        lambda doc: doc["schema"] == EVENT_SCHEMA
+        and doc["kind"] in EVENT_KINDS,
+    )
 
 
 def check_invariants(events: list[dict]) -> list[str]:
@@ -233,7 +199,7 @@ def check_invariants(events: list[dict]) -> list[str]:
             starts[cell] = starts.get(cell, 0) + 1
         elif event["kind"] in TERMINAL_CELL_KINDS:
             if event["attrs"].get("source", "computed") != "computed":
-                continue  # cache/journal-served cells never started
+                continue  # cache-served cells never started
             terminals[cell] = terminals.get(cell, 0) + 1
     for cell, n in sorted(starts.items()):
         ended = terminals.get(cell, 0)

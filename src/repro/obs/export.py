@@ -136,12 +136,11 @@ def metrics_snapshot(registry) -> dict:
 
 
 #: instrument namespaces that describe how a run *executed* — worker
-#: supervision, checkpoint replay, cache traffic — rather than what it
-#: computed.  They are advisory like host wall-times (DESIGN.md 5g):
+#: supervision, cache traffic — rather than what it computed.  They are advisory like host wall-times (DESIGN.md 5g):
 #: a crashed-and-recovered parallel run bumps ``supervisor.*`` while
 #: producing byte-identical simulation results, so determinism
 #: comparisons go through :func:`simulation_metrics` to exclude them.
-EXECUTION_NAMESPACES = ("supervisor.", "checkpoint.", "cache.")
+EXECUTION_NAMESPACES = ("supervisor.", "cache.")
 
 
 def simulation_metrics(snapshot: dict) -> dict:

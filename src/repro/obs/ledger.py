@@ -13,17 +13,18 @@ records, under a content-addressed run id in ``.repro/runs/<run-id>/``:
   machinery of :mod:`repro.obs.analyze.baseline` unchanged;
 * ``outcome.json`` — how the run ended: exit code, ``ok`` /
   ``error`` / ``interrupted``, degraded-cell count, wall seconds,
-  jobs, cache/checkpoint/event-log traffic;
+  jobs, cache/event-log traffic;
 * ``attribution.json`` — the critical-path phase/span decomposition
   (:meth:`~repro.obs.analyze.critical_path.PhaseAttribution
   .to_detailed_json`) when observability was armed, feeding
   ``runs flame``.
 
 An append-only ``index.jsonl`` (one ``repro.ledger/v1`` summary line
-per run, flush + fsync, with the checkpoint journal's torn-tail
-discipline: seal a torn final line on the next append, skip + count it
-on read) makes history listable without touching the per-run
-directories; :meth:`RunLedger.gc` prunes the oldest runs.
+per run, flush + fsync, with the :mod:`repro.obs.jsonl` torn-tail
+discipline the event log shares: seal a torn final line on the next
+append, skip + count it on read) makes history listable without
+touching the per-run directories; :meth:`RunLedger.gc` prunes the
+oldest runs.
 
 The ledger is *telemetry*, not results: recording happens after stdout
 is complete, every failure degrades to a warning, and nothing under the
@@ -44,6 +45,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from ..errors import LedgerError
+from .jsonl import append_line, open_append, read_jsonl
 
 #: schema tag stamped on every index line and outcome document; bump on
 #: any layout change so consumers can reject foreign lines
@@ -189,26 +191,10 @@ class RunLedger:
         return LedgerEntry(run_id=run_id, directory=run_dir)
 
     def _append_index(self, record: dict) -> None:
-        """Append one summary line, sealing a torn tail first.
-
-        Same discipline as :class:`~repro.core.checkpoint
-        .CheckpointJournal`: a run killed mid-write leaves at most one
-        newline-less fragment, which the next append terminates so it
-        can never merge with new data.
-        """
-        torn = False
-        try:
-            tail = self.index_path.read_bytes()[-1:]
-            torn = tail not in (b"", b"\n")
-        except OSError:
-            pass  # no index yet: a fresh ledger
-        line = json.dumps(record, sort_keys=True)
-        with open(self.index_path, "a") as fh:
-            if torn:
-                fh.write("\n")
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        """Append one summary line; a torn tail a killed run left is
+        sealed first, so it can never merge with new data."""
+        with open_append(self.index_path) as fh:
+            append_line(fh, record)
 
     # -- read paths --------------------------------------------------------
     def read_index(self) -> tuple[list[dict], int]:
@@ -217,25 +203,11 @@ class RunLedger:
         Unparseable lines (a torn final write) and lines under another
         schema tag are skipped and counted, never raised on.
         """
-        records: list[dict] = []
-        skipped = 0
-        try:
-            raw = self.index_path.read_bytes()
-        except OSError:
-            return records, skipped
-        for line in raw.splitlines():
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                if doc.get("schema") != LEDGER_SCHEMA or "run_id" not in doc:
-                    skipped += 1
-                    continue
-            except Exception:
-                skipped += 1
-                continue
-            records.append(doc)
-        return records, skipped
+        return read_jsonl(
+            self.index_path,
+            lambda doc: doc.get("schema") == LEDGER_SCHEMA
+            and "run_id" in doc,
+        )
 
     def resolve(self, token: str) -> str:
         """A run-id token to a full run id.
@@ -386,11 +358,8 @@ def study_outcome_doc(
         },
         "degraded": [e.footnote() for e in study.resilience.entries],
     }
-    scheduler = getattr(study, "scheduler", None)
-    if scheduler is not None and scheduler.cache is not None:
-        doc["cache"] = scheduler.cache.stats()
-    if scheduler is not None and scheduler.journal is not None:
-        doc["checkpoint"] = scheduler.journal.stats()
+    if study.scheduler.cache is not None:
+        doc["cache"] = study.scheduler.cache.stats()
     if events is not None:
         doc["events"] = events.stats()
     return doc

@@ -2,11 +2,10 @@
 
 :class:`LiveAggregator` is the one mutable, lock-protected picture of a
 run in flight: planned/done/degraded cell counts, per-cell states,
-supervisor recovery tallies, cache/journal traffic and an ETA derived
-from the wall-time history of completed cells.  The scheduler,
-supervisor, checkpoint journal and cell cache all report into it
-through :class:`RunTelemetry`, which fans each notification out three
-ways:
+supervisor recovery tallies, cache traffic and an ETA derived from the
+wall-time history of completed cells.  The scheduler, supervisor and
+cell cache all report into it through :class:`RunTelemetry`, which fans
+each notification out three ways:
 
 * the **aggregator** (this module) — snapshotted by the status server's
   ``/progress`` endpoint and the OpenMetrics renderer;
@@ -62,7 +61,6 @@ class LiveAggregator:
         self.worker_crashes = 0
         self.pool_rebuilds = 0
         self.cache_hits = 0
-        self.checkpoint_replays = 0
         #: optional zero-argument callable returning the live
         #: :class:`~repro.obs.profiler.SimProfiler` (or ``None``), so the
         #: snapshot can report engine events/sec without owning the
@@ -103,8 +101,6 @@ class LiveAggregator:
                 self._wall_history.append(wall_seconds)
             elif source == "cache":
                 self.cache_hits += 1
-            elif source == "checkpoint":
-                self.checkpoint_replays += 1
 
     def worker_crashed(self) -> None:
         with self._lock:
@@ -167,7 +163,6 @@ class LiveAggregator:
                     "running": counts["running"],
                     "pending": counts["pending"],
                     "cache_hits": self.cache_hits,
-                    "checkpoint_replays": self.checkpoint_replays,
                 },
                 "supervisor": {
                     "retries": self.retries,
@@ -359,10 +354,6 @@ class RunTelemetry:
         if self.events is not None:
             self.events.emit("cache_hit", cell=cell)
 
-    def checkpoint_replay(self, cell: str) -> None:
-        if self.events is not None:
-            self.events.emit("checkpoint_replay", cell=cell)
-
     # -- supervisor recovery -----------------------------------------------
     def worker_crash(self, cell: str, detail: str = "") -> None:
         self.aggregator.worker_crashed()
@@ -413,9 +404,6 @@ class NullRunTelemetry:
         pass
 
     def cache_hit(self, cell) -> None:
-        pass
-
-    def checkpoint_replay(self, cell) -> None:
         pass
 
     def worker_crash(self, cell, detail="") -> None:

@@ -15,9 +15,9 @@ module writes that record.  A manifest names everything needed to audit
 * **versions**: code version and Python interpreter;
 * **wall clock**: start/end timestamps and duration (host-dependent,
   advisory);
-* **side files**: the event-log path and, when armed, the checkpoint
-  journal path plus its content digest and the cache directory —
-  enough to cross-check which persisted state the run consumed.
+* **side files**: the event-log path plus its content digest and, when
+  armed, the cache directory with its hit and store tallies — enough
+  to cross-check which persisted state the run consumed.
 
 The manifest is telemetry-adjacent: it lands in the artifact bundle
 only when a live-telemetry session is active, so an un-flagged
@@ -47,8 +47,8 @@ def config_fingerprint(config: "StudyConfig") -> str:
     """sha256 over the canonical per-field config text.
 
     Walks every :class:`StudyConfig` field *except* the execution-only
-    knobs the cell cache also drops (jobs, cache, checkpoint, timeouts
-    — byte-neutral by the determinism contract), so the same study
+    knobs the cell cache also drops (jobs, cache, timeouts — byte-neutral
+    by the determinism contract), so the same study
     fingerprints identically at ``--jobs 1`` and ``--jobs 4``, cold or
     warm cache.  This is the cross-run identity the run ledger's
     ``runs diff`` keys on; *how* the run executed is documented by the
@@ -97,7 +97,6 @@ def build_manifest(
             "jobs": config.jobs,
             "faults": config.faults.name if config.faults else "none",
             "cache": config.cache,
-            "checkpoint": config.checkpoint,
         },
         "seed": {
             "root": config.seed,
@@ -120,17 +119,8 @@ def build_manifest(
             "schema": "repro.events/v1",
             "digest": _file_digest(events_path),
         }
-    scheduler = getattr(study, "scheduler", None)
-    if scheduler is not None and scheduler.journal is not None:
-        journal = scheduler.journal
-        side["checkpoint"] = {
-            "path": str(journal.path),
-            "digest": _file_digest(journal.path),
-            "replayed": journal.replayed,
-            "recorded": journal.recorded,
-        }
-    if scheduler is not None and scheduler.cache is not None:
-        cache = scheduler.cache
+    cache = study.scheduler.cache
+    if cache is not None:
         side["cache"] = {
             "directory": str(cache.directory),
             "hits": cache.hits,

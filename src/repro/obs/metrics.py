@@ -412,15 +412,12 @@ DECLARED_COUNTERS = (
     "cache.cell.store",
     "cache.cell.invalidated",
     "cache.cell.store_failed",
-    # execution-layer instruments (supervisor.*, checkpoint.*) move only
-    # on abnormal events — crashes, deadline kills, journal replays —
-    # never on routine dispatch, so clean runs keep them at zero and
-    # stay byte-identical across jobs counts (DESIGN.md 5g)
+    # execution-layer instruments (supervisor.*) move only on abnormal
+    # events — crashes, deadline kills — never on routine dispatch, so
+    # clean runs keep them at zero and stay byte-identical across jobs
+    # counts (DESIGN.md 5g)
     "supervisor.cell.retried",
     "supervisor.cell.timeout",
     "supervisor.cell.degraded",
     "supervisor.pool.rebuilt",
-    "checkpoint.cell.recorded",
-    "checkpoint.cell.replayed",
-    "checkpoint.line.corrupt",
 )

@@ -43,7 +43,6 @@ _NAMESPACE_HELP = {
     "study": "study cell counter",
     "cache": "persistent cell-cache counter",
     "supervisor": "worker supervision counter (advisory)",
-    "checkpoint": "checkpoint journal counter (advisory)",
 }
 
 
@@ -92,8 +91,6 @@ def _render_run_section(lines: list[str], snapshot: dict) -> None:
          cells.get("running", 0)),
         ("run_cache_hits", "Cells served from the persistent cell cache",
          cells.get("cache_hits", 0)),
-        ("run_checkpoint_replays", "Cells replayed from the resume journal",
-         cells.get("checkpoint_replays", 0)),
         ("run_supervisor_retries", "Cell dispatch retries after crashes",
          supervisor.get("retries", 0)),
         ("run_worker_crashes", "Worker processes lost mid-cell",

@@ -3,12 +3,15 @@
 The cache's one non-negotiable property is byte-identity: a warm study
 must render exactly what a cold (or uncached) study renders, because a
 hit replays the complete :class:`CellOutcome` through the same merge
-path the parallel scheduler uses.  Everything else here guards the
+path every computed cell takes.  Everything else here guards the
 failure modes: corrupt entries recompute with a warning, a code-version
-bump hard-invalidates, and fault plans key separately from clean runs.
+bump hard-invalidates, fault plans key separately from clean runs, and
+entries are durable enough to resume an interrupted study from.
 """
 
+import os
 import pickle
+import stat
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -17,7 +20,7 @@ import pytest
 
 from repro.core import cellcache
 from repro.core.cellcache import CACHE_SCHEMA, CellCache, cell_key
-from repro.core.parallel import CellTask
+from repro.core.parallel import CellOutcome, CellTask
 from repro.core.study import Study, StudyConfig
 from repro.core.tables import build_table4, render_table4
 from repro.errors import BenchmarkConfigError
@@ -70,11 +73,10 @@ class TestKey:
             replace(config, cache=True, cache_dir="/elsewhere"),
             task, False, False,
         )[0] == digest
-        # supervision/checkpoint knobs are execution-only too: a resumed
-        # or deadline-armed run must keep hitting the same entries
+        # supervision knobs are execution-only too: a deadline-armed
+        # run must keep hitting the same entries
         assert cell_key(
-            replace(config, cell_timeout=30.0, max_cell_retries=5,
-                    checkpoint="study.ckpt"),
+            replace(config, cell_timeout=30.0, max_cell_retries=5),
             task, False, False,
         )[0] == digest
 
@@ -231,4 +233,100 @@ class TestConfigValidation:
         study = _study(tmp_path)
         assert study.scheduler is not None
         assert study.scheduler.cache is not None
-        assert Study(StudyConfig(runs=2)).scheduler is None
+        assert Study(StudyConfig(runs=2)).scheduler.cache is None
+
+
+class TestDurability:
+    """A cache directory is the resume point of an interrupted study
+    (``--resume DIR``), so entries must survive a kill at any moment.
+    Outcomes here are lightweight stand-ins: the cache never looks
+    inside them."""
+
+    CONFIG = StudyConfig(runs=2, seed=77)
+    TASKS = tuple(
+        CellTask(MACHINE, "cpu_bandwidth", variant)
+        for variant in ("single", "all")
+    )
+
+    def _fill(self, directory) -> CellCache:
+        cache = CellCache(directory)
+        for i, task in enumerate(self.TASKS):
+            cache.store(self.CONFIG, task, False, False,
+                        CellOutcome(task=task, result=float(i)))
+        return cache
+
+    def test_store_fsyncs_the_entry_then_the_directory(self, tmp_path,
+                                                       monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            mode = os.fstat(fd).st_mode
+            calls.append("dir" if stat.S_ISDIR(mode) else "file")
+            real_fsync(fd)
+
+        def replace_(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cellcache.os, "fsync", fsync)
+        monkeypatch.setattr(cellcache.os, "replace", replace_)
+        cache = self._fill(tmp_path)
+        assert calls == ["file", "replace", "dir"] * len(self.TASKS)
+        assert cache.stores == len(self.TASKS)
+
+    def test_stored_outcomes_load_in_a_fresh_cache(self, tmp_path):
+        self._fill(tmp_path)
+        reader = CellCache(tmp_path)
+        for i, task in enumerate(self.TASKS):
+            outcome = reader.load(self.CONFIG, task, False, False)
+            assert outcome is not None and outcome.result == float(i)
+        assert reader.hits == len(self.TASKS)
+        assert reader.misses == reader.invalidated == 0
+
+    def test_missing_directory_is_a_fresh_run(self, tmp_path):
+        cache = CellCache(tmp_path / "absent")
+        assert cache.load(self.CONFIG, self.TASKS[0], False, False) is None
+        assert cache.stats()["hits"] == 0
+        assert cache.stats()["misses"] == 1
+
+    def test_store_is_idempotent_per_cell(self, tmp_path):
+        cache = CellCache(tmp_path)
+        task = self.TASKS[0]
+        for _ in range(3):
+            cache.store(self.CONFIG, task, False, False,
+                        CellOutcome(task=task, result=1.0))
+        assert [p.suffix for p in tmp_path.iterdir()] == [".pkl"]
+
+    def test_orphaned_temp_file_is_never_read(self, tmp_path):
+        # a store killed before its rename leaves a partial temp file;
+        # the cell it belongs to is simply a miss, with no warning
+        self._fill(tmp_path)
+        digest, _ = cell_key(self.CONFIG, self.TASKS[0], False, False)
+        entry = tmp_path / f"{digest}.pkl"
+        raw = entry.read_bytes()
+        entry.unlink()
+        (tmp_path / f"{digest}.pkl.tmp.99999").write_bytes(
+            raw[: len(raw) // 2]
+        )
+        reader = CellCache(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reader.load(self.CONFIG, self.TASKS[0], False,
+                               False) is None
+            assert reader.load(self.CONFIG, self.TASKS[1], False,
+                               False) is not None
+        assert (reader.hits, reader.misses, reader.invalidated) == (1, 1, 0)
+
+    def test_key_text_mismatch_is_a_miss(self, tmp_path):
+        # a digest collision must degrade to a miss, never a wrong result
+        self._fill(tmp_path)
+        digest, _ = cell_key(self.CONFIG, self.TASKS[0], False, False)
+        entry = tmp_path / f"{digest}.pkl"
+        payload = pickle.loads(entry.read_bytes())
+        payload["key"] += "\nsomething=else"
+        entry.write_bytes(pickle.dumps(payload))
+        reader = CellCache(tmp_path)
+        assert reader.load(self.CONFIG, self.TASKS[0], False, False) is None
+        assert reader.invalidated == reader.misses == 1
+        assert not entry.exists()

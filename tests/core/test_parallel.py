@@ -126,5 +126,8 @@ class TestCellScheduler:
         assert set(stats["group_wall_seconds"]) == {"cpu"}
         assert stats["jobs"] == 2
 
-    def test_serial_study_has_no_stats(self):
-        assert Study(StudyConfig(runs=2)).parallel_stats() is None
+    def test_serial_study_stats_carry_no_supervisor(self):
+        stats = Study(StudyConfig(runs=2)).parallel_stats()
+        assert stats["jobs"] == 1
+        assert stats["cells"] == 0
+        assert "supervisor" not in stats

@@ -21,7 +21,7 @@ class TestConfig:
 
     def test_jobs_default_is_serial(self):
         assert StudyConfig().jobs == 1
-        assert Study(StudyConfig(runs=2)).scheduler is None
+        assert Study(StudyConfig(runs=2)).scheduler.jobs == 1
 
     @pytest.mark.parametrize("bad", [-1, -7, 1.5, 2.0, "2", None, True])
     def test_invalid_jobs_rejected(self, bad):
@@ -42,16 +42,49 @@ class TestConfig:
         with pytest.raises(BenchmarkConfigError):
             StudyConfig(runs=2, max_cell_retries=bad)
 
-    def test_invalid_checkpoint_rejected(self):
-        with pytest.raises(BenchmarkConfigError):
-            StudyConfig(runs=2, checkpoint=123)
 
-    def test_checkpoint_alone_arms_scheduler(self, tmp_path):
-        study = Study(StudyConfig(
-            runs=2, checkpoint=str(tmp_path / "j.ckpt"),
-        ))
-        assert study.scheduler is not None
-        assert study.scheduler.journal is not None
+
+class TestCellReuse:
+    """A registry cell is computed once per study; a repeated request
+    replays that computation instead of running the cell again."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        from repro.core import study as study_module
+
+        labels = []
+        real = study_module.run_cell
+
+        def counting(fn, **kwargs):
+            labels.append(kwargs["label"])
+            return real(fn, **kwargs)
+
+        monkeypatch.setattr(study_module, "run_cell", counting)
+        return labels
+
+    def test_repeated_request_runs_the_cell_once(self, computed, sawtooth):
+        study = Study(StudyConfig(runs=2, seed=7))
+        first = study.host_latency(sawtooth, PairKind.ON_SOCKET)
+        again = study.host_latency(sawtooth, PairKind.ON_SOCKET)
+        assert computed == [("Sawtooth", "osu", "on-socket")]
+        assert (again.mean, again.std) == (first.mean, first.std)
+        assert study.parallel_stats()["cells"] == 1
+
+    def test_only_the_requested_cell_is_computed(self, computed, frontier):
+        study = Study(StudyConfig(runs=2, seed=7))
+        study.gpu_bandwidth(frontier)
+        assert computed == [("Frontier", "babelstream-gpu")]
+
+    def test_user_built_machine_runs_on_every_request(self, computed,
+                                                      sawtooth):
+        from dataclasses import replace
+
+        mutated = replace(sawtooth, location="elsewhere")
+        study = Study(StudyConfig(runs=2, seed=7))
+        study.host_latency(mutated, PairKind.ON_SOCKET)
+        study.host_latency(mutated, PairKind.ON_SOCKET)
+        assert computed == [("Sawtooth", "osu", "on-socket")] * 2
+        assert study.parallel_stats()["cells"] == 0
 
 
 class TestCellExecutionError:

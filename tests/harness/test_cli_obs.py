@@ -222,6 +222,20 @@ class TestEventsOut:
         assert {"cell_start", "cell_done"} <= kinds
         assert check_invariants(events) == []
 
+    def test_serial_run_with_repeated_cells_is_a_valid_run_log(
+            self, capsys, tmp_path):
+        # table7 requests table5's cells again: each still starts once
+        # and reaches one terminal event
+        from repro.obs.events import check_invariants, read_events
+
+        path = tmp_path / "ev.jsonl"
+        code, _ = _stdout(capsys, ["table5", "table7", "--runs", "5",
+                                   "--events-out", str(path)])
+        assert code == 0
+        events, skipped = read_events(path)
+        assert skipped == 0
+        assert check_invariants(events) == []
+
     def test_stderr_reports_the_event_count(self, capsys, tmp_path):
         path = tmp_path / "ev.jsonl"
         main(["table4", *FAST, "--events-out", str(path)])

@@ -56,6 +56,24 @@ class TestStdoutGolden:
         assert parallel == serial
 
 
+class TestRepeatedCellRequests:
+    """table7, compare and report request cells that table5/6 already
+    did.  A repeated request replays the cell's one computation at any
+    jobs count, so fault draws never continue into a second run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table5", "table7", "--faults", "chaos"],
+        ["all", "--faults", "noisy"],
+    ])
+    def test_faulty_serial_run_matches_parallel(self, capsys, argv):
+        argv = [*argv, *FAST, "--seed", "4", "--no-ledger"]
+        code_a, out_a, err_a = _run(capsys, argv)
+        code_b, out_b, err_b = _run(capsys, argv + ["--jobs", "2"])
+        assert code_a == code_b
+        assert out_a == out_b
+        assert err_a == err_b  # the resilience summary
+
+
 class TestArtifactGolden:
     def _bundle(self, capsys, tmp_path, jobs):
         out = tmp_path / f"bundle-{jobs}"

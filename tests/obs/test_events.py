@@ -220,8 +220,7 @@ class TestInvariantChecker:
     def test_vocabulary_is_closed(self):
         assert EVENT_KINDS == {
             "run_start", "cell_start", "cell_done", "cell_degraded",
-            "worker_crash", "pool_rebuild", "cache_hit",
-            "checkpoint_replay", "run_end",
+            "worker_crash", "pool_rebuild", "cache_hit", "run_end",
         }
 
 

@@ -43,7 +43,6 @@ class TestLiveAggregator:
         assert snap["cells"] == {
             "total": 4, "done": 2, "completed": 1, "degraded": 1,
             "running": 1, "pending": 1, "cache_hits": 0,
-            "checkpoint_replays": 0,
         }
         assert snap["per_cell"]["a"]["state"] == "done"
         assert snap["per_cell"]["b"]["state"] == "degraded"
@@ -71,16 +70,16 @@ class TestLiveAggregator:
     def test_cached_and_replayed_cells_do_not_skew_the_eta(self):
         agg = LiveAggregator()
         agg.cells_planned(["a", "b", "c"])
-        # cache/journal serves take ~0s; feeding them into the wall
-        # history would collapse the estimate for real compute
+        # cache serves (a resumed run's replays included) take ~0s;
+        # feeding them into the wall history would collapse the
+        # estimate for real compute
         agg.cell_finished("a", degraded=False, wall_seconds=0.001,
                           source="cache")
         agg.cell_finished("b", degraded=False, wall_seconds=0.001,
-                          source="checkpoint")
+                          source="cache")
         snap = agg.snapshot()
         assert snap["eta_seconds"] is None
-        assert snap["cells"]["cache_hits"] == 1
-        assert snap["cells"]["checkpoint_replays"] == 1
+        assert snap["cells"]["cache_hits"] == 2
 
     def test_run_ended_marks_done(self):
         agg = self._loaded()
@@ -209,7 +208,6 @@ class TestRunTelemetrySession:
         NULL_TELEMETRY.cell_start("a")
         NULL_TELEMETRY.cell_done("a", degraded=False)
         NULL_TELEMETRY.cache_hit("a")
-        NULL_TELEMETRY.checkpoint_replay("a")
         NULL_TELEMETRY.worker_crash("a")
         NULL_TELEMETRY.pool_rebuild(1)
         NULL_TELEMETRY.cell_retry("a", 2)

@@ -8,12 +8,14 @@ Two acceptance contracts (DESIGN.md 5g):
   serial run at any jobs count; the only evidence is the advisory
   ``supervisor.*`` instruments.
 * **resume transparency** — a study killed partway (simulated by
-  truncating its checkpoint journal, torn final line included) and
-  rerun with ``--resume`` replays the journaled cells, recomputes the
-  rest, and emits byte-identical final output.
+  deleting some entries of its ``--resume`` cache directory and
+  leaving a half-written temp file behind) and rerun on the same
+  directory replays the stored cells, recomputes the rest, and emits
+  byte-identical final output.
 """
 
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -123,36 +125,44 @@ class TestArtifactTransparency:
 
 
 class TestResumeTransparency:
-    def _run(self, capsys, journal, extra=()):
+    def _run(self, capsys, directory, extra=()):
         code = main(["table4", "table5", "--runs", "2",
-                     "--resume", str(journal), *extra])
+                     "--resume", str(directory), *extra])
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    def test_truncated_journal_resumes_byte_identically(self, capsys,
+    @staticmethod
+    def _interrupt(directory: Path, keep: int) -> int:
+        """Simulate a kill mid-study: keep ``keep`` entries, delete the
+        rest, and leave the half-written temp file an interrupted store
+        leaves behind.  Returns how many entries the full run stored."""
+        entries = sorted(directory.glob("*.pkl"))
+        assert len(entries) > keep
+        raw = entries[keep].read_bytes()
+        for victim in entries[keep:]:
+            victim.unlink()
+        Path(f"{entries[keep]}.tmp.99999").write_bytes(raw[: len(raw) // 2])
+        return len(entries)
+
+    def test_interrupted_study_resumes_byte_identically(self, capsys,
                                                         tmp_path):
-        journal = tmp_path / "study.ckpt"
-        code_a, full_out, _ = self._run(capsys, journal)
+        directory = tmp_path / "study.cells"
+        code_a, full_out, _ = self._run(capsys, directory)
         assert code_a == 0
+        stored = self._interrupt(directory, keep=7)
 
-        # simulate a kill mid-study: keep 7 complete lines plus the torn
-        # half line an interrupted fsync can leave behind
-        lines = journal.read_bytes().splitlines(keepends=True)
-        assert len(lines) > 8
-        journal.write_bytes(b"".join(lines[:7]) + lines[7][: len(lines[7]) // 2])
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code_b, resumed_out, err = self._run(capsys, journal)
+        code_b, resumed_out, err = self._run(capsys, directory)
         assert code_b == 0
         assert resumed_out == full_out
-        assert "checkpoint: 7 replayed" in err
+        missed = stored - 7
+        assert (f"cell cache: 7 hit(s), {missed} miss(es), {missed} "
+                f"store(s)") in err
 
         # a third run replays everything and recomputes nothing
-        code_c, again_out, err = self._run(capsys, journal)
+        code_c, again_out, err = self._run(capsys, directory)
         assert code_c == 0
         assert again_out == full_out
-        assert "0 recorded" in err
+        assert f"{stored} hit(s), 0 miss(es), 0 store(s)" in err
 
     def test_resume_composes_with_jobs_and_crashes(self, capsys, tmp_path,
                                                    monkeypatch):
@@ -160,13 +170,30 @@ class TestResumeTransparency:
 
         monkeypatch.setitem(profiles.PROFILES, "crash-test", CRASH_PLAN)
         chaos = ["--jobs", "2", "--faults", "crash-test"]
-        journal = tmp_path / "study.ckpt"
-        code_a, full_out, _ = self._run(capsys, journal, chaos)
+        directory = tmp_path / "study.cells"
+        code_a, full_out, _ = self._run(capsys, directory, chaos)
         assert code_a == 0
 
-        lines = journal.read_bytes().splitlines(keepends=True)
-        journal.write_bytes(b"".join(lines[:5]))
-        code_b, resumed_out, err = self._run(capsys, journal, chaos)
+        self._interrupt(directory, keep=5)
+        code_b, resumed_out, err = self._run(capsys, directory, chaos)
         assert code_b == 0
         assert resumed_out == full_out
-        assert "checkpoint: 5 replayed" in err
+        assert "cell cache: 5 hit(s)" in err
+
+    def test_old_journal_file_runs_uncached_with_one_warning(self, capsys,
+                                                             tmp_path):
+        # a checkpoint journal from an older release is a *file*; as a
+        # cache directory it is unwritable, so the run warns once and
+        # proceeds without the cache
+        journal = tmp_path / "study.ckpt"
+        journal.write_text('{"schema": 1}\n')
+        code_a = main(["table4", "table5", "--runs", "2"])
+        plain_out = capsys.readouterr().out
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code_b, out, err = self._run(capsys, journal)
+        assert code_a == code_b == 0
+        assert out == plain_out
+        assert "0 hit(s)" in err and "0 store(s)" in err
+        assert len([w for w in caught
+                    if "cannot write cell-cache entry" in str(w.message)]) == 1

@@ -2,8 +2,8 @@
 
 ``runs diff`` keys cross-run comparison on the manifest's config
 fingerprint; for that to be sound, the fingerprint must be byte-stable
-across every execution-only knob (jobs, cache, checkpoint, timeouts —
-the same set the cell cache drops from its keys) and must *change*
+across every execution-only knob (jobs, cache, cache directory,
+timeouts — the same set the cell cache drops from its keys) and must *change*
 whenever a result-relevant field (runs, seed, exact, faults) does.
 """
 
@@ -27,10 +27,12 @@ class TestFingerprintExecutionIndependence:
     def test_identical_across_cache_and_checkpoint(self, tmp_path):
         cold = StudyConfig(**BASE)
         warm = StudyConfig(**BASE, cache=True, cache_dir=str(tmp_path))
-        journaled = StudyConfig(**BASE, checkpoint=str(tmp_path / "j.ckpt"))
+        # --resume DIR is --cache-dir DIR: the resume point of a study
+        resumed = StudyConfig(**BASE, cache=True,
+                              cache_dir=str(tmp_path / "resume"))
         timed = StudyConfig(**BASE, cell_timeout=5.0, max_cell_retries=9)
         fingerprints = {
-            config_fingerprint(c) for c in (cold, warm, journaled, timed)
+            config_fingerprint(c) for c in (cold, warm, resumed, timed)
         }
         assert len(fingerprints) == 1
 
