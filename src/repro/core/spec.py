@@ -68,7 +68,7 @@ def _registry() -> dict[str, ExperimentSpec]:
         ExperimentSpec("ext-sweeps", "Size-sweep curves",
                        "Appendix B.2 methodology", True, via_cli("sweeps")),
         ExperimentSpec("ext-check", "Model self-check",
-                       "(reproduction artifact)", True, via_cli("check")),
+                       "(reproduction artifact)", True, via_cli("selfcheck")),
     ]
     return {s.experiment_id: s for s in specs}
 

@@ -375,23 +375,6 @@ def _advisory(values: list[float], unit: str, better: str) -> MetricStat:
 # CLI
 # ---------------------------------------------------------------------------
 
-def _next_history_path(directory: str) -> str:
-    """The next free ``BENCH_<n>.json`` slot under ``directory``."""
-    import os
-    import re
-
-    highest = 0
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        names = []
-    for name in names:
-        match = re.fullmatch(r"BENCH_(\d+)\.json", name)
-        if match:
-            highest = max(highest, int(match.group(1)))
-    return os.path.join(directory, f"BENCH_{highest + 1}.json")
-
-
 def bench_main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="doe-microbench bench",
@@ -422,11 +405,6 @@ def bench_main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--out", type=str, default="", metavar="FILE",
         help="write this run's trajectory to FILE (BENCH_<n>.json)",
-    )
-    parser.add_argument(
-        "--history", type=str, default="", metavar="DIR",
-        help="additionally append this (dated) run to DIR as the next "
-             "free BENCH_<n>.json, accumulating a perf history",
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
@@ -488,10 +466,6 @@ def bench_main(argv: Optional[list[str]] = None) -> int:
     if args.out:
         save_bench(args.out, result.run)
         notice(f"wrote {args.out}")
-    if args.history:
-        path = _next_history_path(args.history)
-        save_bench(path, result.run)
-        notice(f"wrote {path}")
 
     exit_code = 0
     if args.baseline and args.update_baseline:

@@ -8,14 +8,12 @@ Usage::
     python -m repro compare         # paper-vs-measured for every cell
     python -m repro report          # the full markdown report
     python -m repro all             # everything
+    python -m repro selfcheck       # structural model-zoo invariants
     python -m repro --runs 20 table6   # faster, fewer executions
     python -m repro all --faults lossy   # under a fault-injection profile
-    python -m repro selfcheck --faults smoke   # fault-subsystem smoke test
     python -m repro table4 --profile     # per-subsystem event-loop profile
     python -m repro table6 --trace-out t.json --metrics-out m.json
-    python -m repro selfcheck --obs smoke   # observability smoke test
     python -m repro table4 --jobs 4      # parallel cells, identical bytes
-    python -m repro selfcheck --parallel   # serial-vs-parallel digest check
     python -m repro bench --repeats 5 --out BENCH_1.json
     python -m repro bench --baseline BENCH_baseline.json   # exit 4 on regression
     python -m repro table4 --jobs 4 --cell-timeout 120   # kill+retry slow cells
@@ -28,10 +26,8 @@ Usage::
     python -m repro runs diff latest abc123   # Welch-tested cross-run diff
     python -m repro runs flame latest --cell table6   # attribution icicle
     python -m repro table4 --no-ledger   # opt out of run recording
-    python -m repro selfcheck --ledger   # run-ledger smoke suite
     python -m repro check                # paper-reference regression checks
     python -m repro check --spec my.toml --adaptive  # custom declarative suite
-    python -m repro selfcheck --checks   # check-subsystem smoke suite
 
 Under ``--faults <profile>`` individual benchmark cells may be killed by
 injected node failures; after bounded retries they are rendered as the
@@ -93,8 +89,8 @@ from .compare import (
 TARGETS = (
     "table1", "table2", "table3", "table4", "table5", "table6", "table7",
     "table8", "table9", "figure1", "figure2", "figure3",
-    "compare", "report", "sweeps", "internode", "artifacts", "check",
-    "selfcheck", "all",
+    "compare", "report", "sweeps", "internode", "artifacts", "selfcheck",
+    "all",
 )
 
 #: exit status when the run completed but some cells degraded under faults
@@ -161,17 +157,13 @@ def _print_table9() -> str:
     return "\n".join(lines)
 
 
-def run_target(
-    target: str,
-    study: Study,
-    *,
-    obs_smoke: bool = False,
-    parallel_smoke: bool = False,
-    cache_smoke: bool = False,
-    ledger_smoke: bool = False,
-    checks_smoke: bool = False,
-) -> str:
-    """Produce the output text for one CLI target."""
+def run_target(target: str, study: Study) -> str:
+    """Produce the output text for one CLI target.
+
+    ``check`` is not a command-line target (the word is the regression
+    check subcommand); it names the section of ``all`` that prints the
+    structural self-check, the same text as ``selfcheck``.
+    """
     if target == "table1":
         return _print_table1()
     if target == "table2":
@@ -208,65 +200,11 @@ def run_target(
         return _print_sweeps()
     if target == "internode":
         return _print_internode()
-    if target == "check":
+    if target in ("check", "selfcheck"):
         from .selfcheck import render_selfcheck, run_selfcheck
 
         return render_selfcheck(run_selfcheck())
-    if target == "selfcheck":
-        return _run_selfcheck_target(
-            study, obs_smoke=obs_smoke, parallel_smoke=parallel_smoke,
-            cache_smoke=cache_smoke, ledger_smoke=ledger_smoke,
-            checks_smoke=checks_smoke,
-        )
     raise ValueError(f"unknown target: {target}")
-
-
-def _run_selfcheck_target(
-    study: Study,
-    obs_smoke: bool = False,
-    parallel_smoke: bool = False,
-    cache_smoke: bool = False,
-    ledger_smoke: bool = False,
-    checks_smoke: bool = False,
-) -> str:
-    """``selfcheck``: structural checks, plus the fault smoke suite
-    whenever a fault plan is armed (``--faults smoke`` in CI), the
-    observability smoke suite under ``--obs smoke``, the
-    parallel-equivalence smoke suite under ``--parallel``, the
-    cell-cache smoke suite under ``--cache``, the run-ledger smoke
-    suite under ``--ledger``, and the regression-check smoke suite
-    under ``--checks``."""
-    from .selfcheck import (
-        render_cache_smoke,
-        render_checks_smoke,
-        render_fault_smoke,
-        render_ledger_smoke,
-        render_obs_smoke,
-        render_parallel_smoke,
-        render_selfcheck,
-        run_cache_smoke,
-        run_checks_smoke,
-        run_fault_smoke,
-        run_ledger_smoke,
-        run_obs_smoke,
-        run_parallel_smoke,
-        run_selfcheck,
-    )
-
-    parts = [render_selfcheck(run_selfcheck())]
-    if study.config.faults is not None and not study.config.faults.is_null():
-        parts.append(render_fault_smoke(run_fault_smoke()))
-    if obs_smoke:
-        parts.append(render_obs_smoke(run_obs_smoke()))
-    if parallel_smoke:
-        parts.append(render_parallel_smoke(run_parallel_smoke()))
-    if cache_smoke:
-        parts.append(render_cache_smoke(run_cache_smoke()))
-    if ledger_smoke:
-        parts.append(render_ledger_smoke(run_ledger_smoke()))
-    if checks_smoke:
-        parts.append(render_checks_smoke(run_checks_smoke()))
-    return "\n".join(parts)
 
 
 def _print_sweeps() -> str:
@@ -348,10 +286,8 @@ def main(argv: list[str] | None = None) -> int:
         return runs_main(argv[1:])
     if argv and argv[0] == "check":
         # declarative regression checks (0 ok / 3 regression /
-        # 4 inflated).  The `check` *target* inside run_target keeps
-        # its legacy meaning (selfcheck alias) for the "all" expansion
-        # and programmatic callers; the CLI word now means the
-        # repro.checks evaluator.
+        # 4 inflated); like `bench` and `runs` the word must come
+        # first, and as a positional target it is an invalid choice
         from .check_cli import check_main
 
         return check_main(argv[1:])
@@ -430,15 +366,6 @@ def main(argv: list[str] | None = None) -> int:
              "to stderr",
     )
     parser.add_argument(
-        "--obs", type=str, default="none", choices=("none", "smoke"),
-        help="observability smoke suite selector for the selfcheck target",
-    )
-    parser.add_argument(
-        "--parallel", action="store_true",
-        help="run the parallel-equivalence smoke suite under the "
-             "selfcheck target",
-    )
-    parser.add_argument(
         "--events-out", type=str, default="", metavar="FILE",
         help="append one JSONL event per run transition (cell start/done, "
              "crashes, cache hits) to FILE; crash-safe, schema "
@@ -472,17 +399,6 @@ def main(argv: list[str] | None = None) -> int:
         "--ledger-dir", type=str, default="", metavar="DIR",
         help="run-ledger root (default: $REPRO_LEDGER_DIR or .repro/runs)",
     )
-    parser.add_argument(
-        "--ledger", action="store_true",
-        help="run the run-ledger smoke suite (record/list/diff/gc) under "
-             "the selfcheck target",
-    )
-    parser.add_argument(
-        "--checks", action="store_true",
-        help="run the regression-check smoke suite (spec roundtrip, "
-             "injected-regression exit, adaptive stopping) under the "
-             "selfcheck target",
-    )
     args = parser.parse_args(argv)
     if args.status_port is not None and not 0 <= args.status_port <= 65535:
         parser.error(
@@ -507,12 +423,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     targets = list(args.targets)
     if "all" in targets:
-        # "selfcheck" stays opt-in: "all" output is byte-compared across
-        # fault-free runs and must not grow new sections
+        # "all" output is byte-compared across fault-free runs, so its
+        # sections keep their order and headers: the structural
+        # self-check still prints under "==> check"
         targets = [
             t for t in TARGETS
             if t not in ("all", "report", "artifacts", "selfcheck")
-        ] + ["report"]
+        ] + ["check", "report"]
 
     from ..obs import live
     from ..obs import runtime as obs_runtime
@@ -582,14 +499,7 @@ def main(argv: list[str] | None = None) -> int:
                             f"{directory})"
                         )
                         continue
-                    text = run_target(
-                        target, study,
-                        obs_smoke=args.obs == "smoke",
-                        parallel_smoke=args.parallel,
-                        cache_smoke=cache,
-                        ledger_smoke=args.ledger,
-                        checks_smoke=args.checks,
-                    )
+                    text = run_target(target, study)
                     print(f"==> {target}")
                     print(text)
                     print()

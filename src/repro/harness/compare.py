@@ -162,10 +162,10 @@ def gate_comparison(rows: list[ComparisonRow], tolerance: float = 0.05):
     Each non-degraded row becomes one interval check — the paper mean
     with a ``±tolerance`` relative band — evaluated by
     :func:`repro.checks.evaluate.evaluate`, so the sim-vs-paper gate
-    uses the exact same threshold semantics as ``repro check``, the
-    bench baseline and ``selfcheck --checks``.  Degraded rows are
-    excluded the same way the error statistics exclude them.  Returns
-    the :class:`~repro.checks.evaluate.CheckReport`.
+    uses the exact same threshold semantics as ``repro check`` and the
+    bench baseline.  Degraded rows are excluded the same way the error
+    statistics exclude them.  Returns the
+    :class:`~repro.checks.evaluate.CheckReport`.
     """
     from ..checks.evaluate import evaluate
     from ..checks.extract import MetricsSource

@@ -303,8 +303,7 @@ class RunLedger:
 
 
 # ---------------------------------------------------------------------------
-# document assembly: one shared path for the CLI, the bench harness and
-# the selfcheck smoke family
+# document assembly: one shared path for the CLI and the bench harness
 # ---------------------------------------------------------------------------
 
 def study_metrics_doc(study) -> dict:

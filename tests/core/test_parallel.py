@@ -124,6 +124,7 @@ class TestCellScheduler:
         assert stat.mean > 0
         assert stats["cells"] == 20
         assert set(stats["group_wall_seconds"]) == {"cpu"}
+        assert all(w >= 0 for w in stats["cell_wall_seconds"].values())
         assert stats["jobs"] == 2
 
     def test_serial_study_stats_carry_no_supervisor(self):

@@ -58,17 +58,6 @@ class TestTrajectoryFile:
         run = load_bench(str(out))
         assert len(run.date.split("-")) == 3  # ISO yyyy-mm-dd
 
-    def test_history_appends_to_next_free_slot(self, capsys, tmp_path):
-        (tmp_path / "BENCH_3.json").write_text("{}")  # pre-existing slot
-        for expected in ("BENCH_4.json", "BENCH_5.json"):
-            code, _text = _bench(
-                capsys, "--repeats", "1", "--quiet",
-                "--targets", FAST_TARGET, "--history", str(tmp_path),
-            )
-            assert code == 0
-            run = load_bench(str(tmp_path / expected))
-            assert FAST_TARGET in run.targets
-
 
 class TestGate:
     @pytest.fixture()

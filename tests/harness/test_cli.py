@@ -94,3 +94,48 @@ class TestMain:
         out = capsys.readouterr().out
         assert "files under" in out
         assert (tmp_path / "bundle" / "tables" / "table4.txt").exists()
+
+
+#: the sections ``all`` prints, in order; ``check`` is the structural
+#: self-check's header there, not the regression-check subcommand
+ALL_SECTIONS = [
+    "table1", "table2", "table3", "table4", "table5", "table6", "table7",
+    "table8", "table9", "figure1", "figure2", "figure3",
+    "compare", "sweeps", "internode", "check", "report",
+]
+SELFCHECK_LINE = (
+    "self-check passed: 13 machines, 6 check families, no findings"
+)
+
+
+class TestOneSelfCheck:
+    @pytest.mark.parametrize(
+        "argv", [["--seed", "3", "check"], ["table4", "check"]]
+    )
+    def test_check_is_not_a_positional_target(self, argv, capsys):
+        # `check` is the regression-check subcommand: it must come first
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'check'" in captured.err
+        assert captured.out == ""
+
+    def test_selfcheck_flags_add_no_sections(self, capsys, tmp_path):
+        assert main(["selfcheck", "--runs", "2"]) == 0
+        bare = capsys.readouterr().out
+        assert bare.splitlines() == ["==> selfcheck", SELFCHECK_LINE, ""]
+        for flags in (["--faults", "smoke"], ["--faults", "chaos"],
+                      ["--cache-dir", str(tmp_path / "cells")]):
+            assert main(["selfcheck", "--runs", "2", *flags]) == 0
+            assert capsys.readouterr().out == bare, flags
+
+    def test_all_keeps_its_check_section_in_place(self, capsys):
+        assert main(["all", "--runs", "2"]) == 0
+        out = capsys.readouterr().out
+        headers = [
+            line.removeprefix("==> ") for line in out.splitlines()
+            if line.startswith("==> ")
+        ]
+        assert headers == ALL_SECTIONS
+        assert out.split("==> check\n", 1)[1].startswith(SELFCHECK_LINE)

@@ -1,32 +1,21 @@
-"""CI smoke target: ``python -m repro selfcheck --faults smoke``.
+"""``python -m repro selfcheck`` under a fault profile.
 
-Marked ``faults`` so CI can select it (``pytest -m faults``); it also
-runs in the default tier-1 sweep.
+A fault profile shapes simulation draws only: the structural self-check
+prints the same text with or without ``--faults``, and no fault-smoke
+section follows it.
 """
 
-import pytest
-
 from repro.harness.cli import main
-from repro.harness.selfcheck import render_fault_smoke, run_fault_smoke
 
 
-@pytest.mark.faults
 def test_selfcheck_smoke_target_passes(capsys):
     code = main(["selfcheck", "--faults", "smoke"])
     out = capsys.readouterr().out
     assert code == 0
     assert "self-check passed" in out
-    assert "fault smoke passed" in out
+    assert "fault smoke" not in out
 
 
-@pytest.mark.faults
-def test_fault_smoke_suite_is_clean():
-    findings = run_fault_smoke()
-    assert findings == []
-    assert "passed" in render_fault_smoke(findings)
-
-
-@pytest.mark.faults
 def test_selfcheck_without_faults_skips_smoke(capsys):
     code = main(["selfcheck"])
     out = capsys.readouterr().out

@@ -1,34 +1,16 @@
-"""``repro selfcheck --ledger``: the run-ledger smoke family."""
+"""``python -m repro selfcheck`` prints no run-ledger section.
+
+The run-ledger suite is ``pytest -m ledger``.
+"""
 
 import pytest
 
 from repro.harness.cli import main
-from repro.harness.selfcheck import (
-    LEDGER_CHECKS,
-    render_ledger_smoke,
-    run_ledger_smoke,
-)
 
 pytestmark = pytest.mark.ledger
 
 
 class TestLedgerSmoke:
-    def test_smoke_suite_is_clean(self):
-        findings = run_ledger_smoke()
-        assert findings == [], "\n".join(str(f) for f in findings)
-
-    def test_render_names_the_families(self):
-        text = render_ledger_smoke([])
-        assert f"{len(LEDGER_CHECKS)} check families" in text
-        assert "injected-regression gate" in text
-        assert "torn-index recovery" in text
-
-    def test_cli_flag_appends_the_section(self, capsys):
-        code = main(["selfcheck", "--runs", "2", "--no-ledger", "--ledger"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "ledger smoke passed" in out
-
     def test_without_flag_no_section(self, capsys):
         code = main(["selfcheck", "--runs", "2", "--no-ledger"])
         out = capsys.readouterr().out

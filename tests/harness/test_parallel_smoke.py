@@ -1,29 +1,11 @@
-"""CI smoke target: ``python -m repro selfcheck --parallel``.
+"""``python -m repro selfcheck`` prints no parallel-execution section.
 
-Marked ``parallel`` so CI can select the equivalence suite
-(``pytest -m parallel``); it also runs in the default tier-1 sweep.
+The parallel equivalence suite is ``pytest -m parallel``.
 """
 
 import pytest
 
 from repro.harness.cli import main
-from repro.harness.selfcheck import render_parallel_smoke, run_parallel_smoke
-
-
-@pytest.mark.parallel
-def test_selfcheck_parallel_target_passes(capsys):
-    code = main(["selfcheck", "--parallel", "--runs", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "self-check passed" in out
-    assert "parallel smoke passed" in out
-
-
-@pytest.mark.parallel
-def test_parallel_smoke_suite_is_clean():
-    findings = run_parallel_smoke()
-    assert findings == []
-    assert "passed" in render_parallel_smoke(findings)
 
 
 @pytest.mark.parallel
@@ -33,12 +15,3 @@ def test_selfcheck_without_flag_skips_parallel_smoke(capsys):
     assert code == 0
     assert "self-check passed" in out
     assert "parallel smoke" not in out
-
-
-@pytest.mark.parallel
-def test_smoke_runs_at_jobs_2_through_the_cli(capsys):
-    # the CI job's exact invocation: equivalence suite at two workers
-    code = main(["selfcheck", "--parallel", "--jobs", "2", "--runs", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "parallel smoke passed" in out

@@ -1,15 +1,20 @@
 """Status server endpoints, lifecycle and failure containment."""
 
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.core.study import Study, StudyConfig
+from repro.core.tables import build_table4
 from repro.harness.status_server import (
     OPENMETRICS_CONTENT_TYPE,
     StatusServer,
 )
+from repro.obs import live
 from repro.obs.live import LiveAggregator
 from repro.obs.metrics import MetricsRegistry
 
@@ -124,3 +129,43 @@ class TestLifecycle:
             status, _, _ = _get(server.port, "/healthz")
             assert status == 200
         assert not server.running
+
+
+class TestLiveStudy:
+    def test_study_on_a_worker_thread_reports_monotone_progress(
+        self, sawtooth
+    ):
+        """A real study polled through a live server: ``/progress`` never
+        counts backwards, the final snapshot is complete, ``/metrics`` is
+        the run's exposition, and ``/healthz`` goes away with the server."""
+        session = live.RunTelemetry()
+        server = StatusServer(session.aggregator, port=0).start()
+        done_counts = []
+        try:
+            with live.telemetry(session):
+                session.run_start(["table4"], 1, 11)
+                study = Study(StudyConfig(runs=2, seed=11))
+                worker = threading.Thread(
+                    target=build_table4, args=(study,),
+                    kwargs={"machines": [sawtooth]},
+                )
+                worker.start()
+                deadline = time.monotonic() + 120
+                while worker.is_alive() and time.monotonic() < deadline:
+                    _, _, body = _get(server.port, "/progress")
+                    done_counts.append(json.loads(body)["cells"]["done"])
+                worker.join(timeout=5)
+                assert not worker.is_alive()
+                session.run_end()
+            snapshot = json.loads(_get(server.port, "/progress")[2])
+            _, _, metrics = _get(server.port, "/metrics")
+        finally:
+            server.stop()
+        done_counts.append(snapshot["cells"]["done"])
+        assert done_counts == sorted(done_counts)
+        assert snapshot["state"] == "done"
+        assert snapshot["cells"]["done"] == snapshot["cells"]["total"] > 0
+        assert metrics.endswith("# EOF\n")
+        assert "repro_run_cells_done" in metrics
+        with pytest.raises((urllib.error.URLError, OSError)):
+            _get(server.port, "/healthz")

@@ -278,29 +278,3 @@ class TestPlacementDeterminism:
         packed = max(run_placed(eagle, layout["packed"], make))
         spread = max(run_placed(eagle, layout["spread"], make))
         assert packed != spread
-
-
-@pytest.mark.skip(
-    reason="alltoall is not implemented yet: ROADMAP item 3 (multi-node "
-    "collectives) adds pairwise alltoall plus ring/tree allreduce over "
-    "inter-node topologies; this pin documents the intended surface"
-)
-class TestAlltoallStub:
-    def test_pairwise_exchange(self, eagle):
-        """Intended contract: rank i sends chunk[j] to rank j and ends
-        holding [chunk_from_0[i], ..., chunk_from_{n-1}[i]]."""
-        from repro.mpisim.collectives import alltoall  # noqa: F401
-
-        n = 4
-
-        def make(rank):
-            def fn(ctx):
-                out = yield from alltoall(
-                    ctx, [f"{rank}->{j}" for j in range(n)], 16
-                )
-                return out
-            return fn
-
-        _world, results = run_collective(eagle, n, make)
-        for j, got in enumerate(results):
-            assert got == [f"{i}->{j}" for i in range(n)]
