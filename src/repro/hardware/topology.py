@@ -9,19 +9,19 @@ The paper groups device-to-device measurements into classes:
 * Perlmutter / Polaris — all four GPUs are equally connected (single
   class, reported under A).
 
-:class:`Topology` wraps a :mod:`networkx` multigraph of node components
-(CPU sockets, GPUs, host bridges) whose edges carry
+:class:`Topology` holds an adjacency map of node components (CPU
+sockets, GPUs, host bridges) whose links carry
 :class:`~repro.hardware.links.LinkInstance` payloads, and implements the
-classification and the path routing the DMA/MPI models use.
+classification and the lowest-latency routing the DMA/MPI models use.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import Iterable, Iterator, Optional
 
 from ..errors import TopologyError
 from .links import LinkInstance, LinkKind
@@ -68,7 +68,9 @@ class Topology:
     """The intra-node interconnect graph."""
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        #: component -> {neighbour: link}; insertion order is kept, since
+        #: it decides between equal-latency routes
+        self._adj: dict[str, dict[str, LinkInstance]] = {}
         self._components: dict[str, Component] = {}
         #: memoized shortest routes; cleared whenever the graph mutates
         self._route_cache: dict[tuple[str, str], tuple[str, ...]] = {}
@@ -83,11 +85,9 @@ class Topology:
             for c in sorted(self._components.values(), key=lambda c: c.name)
         )
         edges = ", ".join(
-            f"{a}<->{b}={data['link']!r}"
-            for a, b, data in sorted(
-                (tuple(sorted((u, v))) + (d,)
-                 for u, v, d in self._graph.edges(data=True)),
-                key=lambda e: (e[0], e[1]),
+            f"{a}<->{b}={self._adj[a][b]!r}"
+            for a, b in sorted(
+                (a, b) for a in self._adj for b in self._adj[a] if a < b
             )
         )
         return f"Topology(components=[{comps}], links=[{edges}])"
@@ -102,7 +102,7 @@ class Topology:
             raise TopologyError(f"duplicate component name: {name}")
         comp = Component(name, kind, socket, attrs)
         self._components[name] = comp
-        self._graph.add_node(name, component=comp)
+        self._adj[name] = {}
         self._route_cache.clear()
         return comp
 
@@ -111,9 +111,10 @@ class Topology:
         self._require(b)
         if a == b:
             raise TopologyError(f"self-link on {a}")
-        if self._graph.has_edge(a, b):
+        if b in self._adj[a]:
             raise TopologyError(f"duplicate link {a} <-> {b}")
-        self._graph.add_edge(a, b, link=link)
+        self._adj[a][b] = link
+        self._adj[b][a] = link
         self._route_cache.clear()
 
     def _require(self, name: str) -> Component:
@@ -147,25 +148,21 @@ class Topology:
     def direct_link(self, a: str, b: str) -> Optional[LinkInstance]:
         self._require(a)
         self._require(b)
-        data = self._graph.get_edge_data(a, b)
-        return data["link"] if data else None
+        return self._adj[a].get(b)
 
     def neighbors(self, name: str) -> list[tuple[str, LinkInstance]]:
         self._require(name)
-        return [
-            (other, self._graph.edges[name, other]["link"])
-            for other in self._graph.neighbors(name)
-        ]
+        return list(self._adj[name].items())
 
     def links_between(self, names: Iterable[str]) -> list[LinkInstance]:
         """Links along a component path given as consecutive names."""
         names = list(names)
         out = []
         for a, b in zip(names, names[1:]):
-            data = self._graph.get_edge_data(a, b)
-            if data is None:
+            link = self._adj.get(a, {}).get(b)
+            if link is None:
                 raise TopologyError(f"no link between {a} and {b} on path")
-            out.append(data["link"])
+            out.append(link)
         return out
 
     def route(self, src: str, dst: str) -> tuple[str, ...]:
@@ -180,18 +177,49 @@ class Topology:
             return cached
         self._require(src)
         self._require(dst)
-        if src == dst:
-            path = (src,)
-        else:
-            try:
-                path = tuple(nx.shortest_path(
-                    self._graph, src, dst,
-                    weight=lambda u, v, d: d["link"].latency,
-                ))
-            except nx.NetworkXNoPath:
-                raise TopologyError(f"no route from {src} to {dst}") from None
+        path = (src,) if src == dst else self._bidirectional_dijkstra(src, dst)
         self._route_cache[(src, dst)] = path
         return path
+
+    def _bidirectional_dijkstra(self, src: str, dst: str) -> tuple[str, ...]:
+        """Lowest-latency path by a Dijkstra search from both ends.
+
+        Equal-latency routes are common (the GCD rings), and the one
+        picked reaches traces, ledger records and staging bandwidths, so
+        the tie rule is fixed (DESIGN §2).  The two searches alternate,
+        forward first.  Both heaps order on (distance, push count), with
+        one counter shared between them.  Relaxation is strict and visits
+        neighbours in insertion order, and the meeting node moves only on
+        a strictly shorter total.
+        """
+        push = count()
+        fringe = ([(0, next(push), src)], [(0, next(push), dst)])
+        seen = ({src: 0}, {dst: 0})             # tentative distances
+        done = (set(), set())                   # settled components
+        preds = ({src: None}, {dst: None})
+        best = meet = None
+        d = 1
+        while fringe[0] and fringe[1]:
+            d = 1 - d
+            dist, _, v = heappop(fringe[d])
+            if v in done[d]:
+                continue
+            done[d].add(v)
+            if v in done[1 - d]:
+                head = tuple(_walk(meet, preds[0]))[::-1]
+                return head + tuple(_walk(preds[1][meet], preds[1]))
+            for w, link in self._adj[v].items():
+                length = dist + link.latency
+                if w in done[d] or (w in seen[d] and length >= seen[d][w]):
+                    continue
+                seen[d][w] = length
+                heappush(fringe[d], (length, next(push), w))
+                preds[d][w] = v
+                if w in seen[1 - d]:
+                    total = length + seen[1 - d][w]
+                    if best is None or total < best:
+                        best, meet = total, w
+        raise TopologyError(f"no route from {src} to {dst}")
 
     def path_latency(self, path: Iterable[str]) -> float:
         """Sum of hardware link latencies along a component path."""
@@ -282,3 +310,10 @@ class Topology:
             if self._components[cpu].socket == comp.socket:
                 return cpu
         return cpus[0]
+
+
+def _walk(node: Optional[str], preds: dict) -> Iterator[str]:
+    """``node`` and its predecessors, back to a search's root."""
+    while node is not None:
+        yield node
+        node = preds[node]

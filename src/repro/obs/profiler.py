@@ -8,7 +8,8 @@ resumed (``mpisim``, ``netsim``, ``gpurt``, ``memsys``, ``faults``,
 with no process callback.  Per subsystem it accumulates events
 processed, callbacks invoked and host wall-time spent, and the report
 gives overall and per-subsystem events/sec — the first question to ask
-when a study cell is slow.
+when a study cell is slow — and the share of the profiled wall time
+the event loop accounts for.
 
 Attribution is by code object: a resumed process exposes its generator,
 and the generator's code filename names the package.  The classifier
@@ -18,6 +19,7 @@ caches per filename, so the steady-state cost of profiling is two
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -45,6 +47,9 @@ class ProfileReport:
     total_callbacks: int = 0
     total_host_seconds: float = 0.0
     wall_seconds: float = 0.0
+    #: host time includes states measured in other processes (``--jobs``
+    #: workers, cell-cache entries), so it is not a share of the wall time
+    summed_over_workers: bool = False
 
     @property
     def events_per_second(self) -> float:
@@ -63,6 +68,7 @@ class SimProfiler:
         self.total_events = 0
         self.total_callbacks = 0
         self.total_host_seconds = 0.0
+        self.summed_over_workers = False
         self.wall_start = time.perf_counter()
 
     # -- classification ----------------------------------------------------
@@ -127,6 +133,7 @@ class SimProfiler:
             "total_events": self.total_events,
             "total_callbacks": self.total_callbacks,
             "total_host_seconds": self.total_host_seconds,
+            "pid": os.getpid(),
         }
 
     def merge_state(self, state: dict) -> None:
@@ -146,6 +153,8 @@ class SimProfiler:
         self.total_events += state["total_events"]
         self.total_callbacks += state["total_callbacks"]
         self.total_host_seconds += state["total_host_seconds"]
+        if state.get("pid") != os.getpid():
+            self.summed_over_workers = True
 
     # -- reporting ---------------------------------------------------------
     def report(self) -> ProfileReport:
@@ -155,6 +164,7 @@ class SimProfiler:
             total_callbacks=self.total_callbacks,
             total_host_seconds=self.total_host_seconds,
             wall_seconds=time.perf_counter() - self.wall_start,
+            summed_over_workers=self.summed_over_workers,
         )
 
     def render(self) -> str:
@@ -175,10 +185,16 @@ class SimProfiler:
                 f"{stats.host_seconds * 1e3:10.2f} "
                 f"{stats.host_seconds / total_s:6.1%}"
             )
+        if report.summed_over_workers:
+            coverage = "summed over workers,"
+        else:
+            share = report.total_host_seconds / (report.wall_seconds or 1.0)
+            coverage = f"{share:.1%} of"
         lines.append(
             f"  total: {report.total_events} events, "
             f"{report.total_callbacks} callbacks, "
             f"{report.total_host_seconds * 1e3:.2f} ms in step() "
-            f"({report.events_per_second:,.0f} events/sec)"
+            f"({report.events_per_second:,.0f} events/sec; {coverage} "
+            f"{report.wall_seconds * 1e3:.2f} ms profiled wall)"
         )
         return "\n".join(lines)

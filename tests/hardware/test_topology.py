@@ -1,10 +1,23 @@
-"""Tests for the topology graph and the A/B/C/D classification."""
+"""Tests for the topology graph and the A/B/C/D classification.
+
+Every registry machine's routes, neighbour order, GPU-pair classes and
+``repr`` are pinned in ``topology_golden.json``.  Regenerate deliberately
+with::
+
+    PYTHONPATH=src python tests/hardware/test_topology.py regen
+"""
+
+import json
+import pathlib
 
 import pytest
 
 from repro.errors import TopologyError
 from repro.hardware.links import LinkKind, link
 from repro.hardware.topology import ComponentKind, LinkClass, Topology
+from repro.machines.registry import get_machine, machine_names
+
+GOLDEN = pathlib.Path(__file__).with_name("topology_golden.json")
 
 
 def small_topology():
@@ -156,3 +169,98 @@ class TestPaperTopologies:
     def test_representative_pairs_cover_classes(self, frontier):
         reps = frontier.node.topology.representative_pairs()
         assert set(reps) == {LinkClass.A, LinkClass.B, LinkClass.C, LinkClass.D}
+
+
+def topology_snapshot(topo):
+    """Everything routing decides: ``repr``, neighbour order, the route
+    of every ordered component pair and the class of every GPU pair."""
+    names = list(topo.components)
+    gpus = topo.gpus()
+    pairs = {}
+    for a in gpus:
+        for b in gpus:
+            if a != b:
+                c = topo.classify_gpu_pair(a, b)
+                pairs[f"{a}->{b}"] = [
+                    c.link_class.value, c.description, ",".join(c.route)
+                ]
+    return {
+        "repr": repr(topo),
+        "neighbors": {
+            n: ",".join(o for o, _ in topo.neighbors(n)) for n in names
+        },
+        "routes": {
+            f"{a}->{b}": ",".join(topo.route(a, b))
+            for a in names for b in names
+        },
+        "gpu_pairs": pairs,
+    }
+
+
+def registry_snapshot():
+    return {
+        name: topology_snapshot(get_machine(name).node.topology)
+        for name in machine_names()
+    }
+
+
+class TestRouteGolden:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    def test_golden_covers_the_registry(self, golden):
+        assert list(golden) == machine_names()
+        assert sum(len(m["routes"]) for m in golden.values()) == 429
+        assert sum(len(m["gpu_pairs"]) for m in golden.values()) == 246
+
+    @pytest.mark.parametrize("name", machine_names())
+    def test_machine_matches_golden(self, name, golden):
+        assert topology_snapshot(get_machine(name).node.topology) == golden[name]
+
+
+def tie_topology():
+    """Three routes of equal latency (750 ns) from src to dst: via y, via
+    x then y, and via x.  An NVLink3 hop (250 ns) is exactly half a PCIe3
+    hop (500 ns), so the totals tie exactly in floating point.  Breaking
+    any one part of the tie rule (searching backward first, relaxing on
+    an equal distance, moving the meeting node on an equal total) or
+    searching from one end only picks a different route."""
+    topo = Topology()
+    for i, name in enumerate(("src", "leaf", "x", "y", "dst")):
+        topo.add_component(name, ComponentKind.GPU, index=i, vendor="nvidia")
+    short, long = link(LinkKind.NVLINK3), link(LinkKind.PCIE3)
+    for a, b, l in (("src", "leaf", short), ("y", "x", short),
+                    ("src", "x", short), ("dst", "y", short),
+                    ("src", "y", long), ("dst", "x", long)):
+        topo.connect(a, b, l)
+    return topo
+
+
+class TestTieRule:
+    """Equal-latency routes resolve as networkx's bidirectional Dijkstra
+    resolves them, which is what routing used before it was in-house."""
+
+    def test_forward_route(self):
+        assert tie_topology().route("src", "dst") == ("src", "y", "dst")
+
+    def test_reverse_route(self):
+        assert tie_topology().route("dst", "src") == ("dst", "x", "src")
+
+    def test_routes_tie(self):
+        topo = tie_topology()
+        latencies = {
+            topo.path_latency(path) for path in (
+                ("src", "y", "dst"), ("src", "x", "y", "dst"),
+                ("src", "x", "dst"),
+            )
+        }
+        assert len(latencies) == 1
+
+
+if __name__ == "__main__":
+    import sys
+
+    if len(sys.argv) > 1 and sys.argv[1] == "regen":
+        GOLDEN.write_text(json.dumps(registry_snapshot(), indent=1) + "\n")
+        print(f"wrote {GOLDEN}")

@@ -1,5 +1,10 @@
 """Tests for the command-line harness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.study import Study, StudyConfig
@@ -139,3 +144,28 @@ class TestOneSelfCheck:
         ]
         assert headers == ALL_SECTIONS
         assert out.split("==> check\n", 1)[1].startswith(SELFCHECK_LINE)
+
+
+#: blocks networkx (``import networkx`` raises ImportError), runs two
+#: targets, then checks the block was never replaced by a real import
+WITHOUT_NETWORKX = """
+import sys
+sys.modules["networkx"] = None
+from repro.harness.cli import main
+for argv in (["table2", "--no-ledger"],
+             ["all", "--runs", "2", "--seed", "3", "--no-ledger"]):
+    assert main(argv) == 0, argv
+assert sys.modules.pop("networkx") is None
+assert not [m for m in sys.modules if m.partition(".")[0] == "networkx"]
+"""
+
+
+def test_package_runs_without_networkx(tmp_path):
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NETWORKX],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "==> table2" in proc.stdout and "==> report" in proc.stdout

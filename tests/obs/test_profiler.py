@@ -1,5 +1,8 @@
 """The sim profiler: engine hook, per-subsystem attribution, report."""
 
+import os
+import re
+
 from repro.obs import ObsContext, SimProfiler, SubsystemStats
 from repro.obs import runtime as obs
 from repro.sim.engine import Environment
@@ -133,3 +136,36 @@ class TestStateMerge:
         })
         assert parent.subsystems["mpisim"].events == 10
         assert parent.report().events_per_second == 20.0
+
+
+#: the total line's coverage clause on a single-process run
+SHARE = re.compile(r"; ([\d.]+)% of ([\d.]+) ms profiled wall\)$", re.M)
+
+
+class TestCoverage:
+    """The total line states event-loop host time as a share of the
+    profiled wall time, unless host time was summed over workers."""
+
+    def test_serial_cli_run_states_its_share(self, capsys):
+        from repro.harness.cli import main
+
+        assert main(["table6", "--runs", "2", "--profile", "--no-ledger"]) == 0
+        err = capsys.readouterr().err
+        match = SHARE.search(err)
+        assert match is not None, err
+        assert 0.0 < float(match.group(1)) <= 100.0
+        assert float(match.group(2)) > 0.0
+        assert "summed over workers" not in err
+
+    def test_worker_merge_says_summed(self):
+        parent = SimProfiler()
+        parent.merge_state({
+            "subsystems": {"mpisim": (10, 12, 0.5)},
+            "total_events": 10,
+            "total_callbacks": 12,
+            "total_host_seconds": 0.5,
+            "pid": os.getpid() + 1,
+        })
+        text = parent.render()
+        assert "summed over workers, " in text
+        assert SHARE.search(text) is None
