@@ -34,8 +34,8 @@ _HIGHER_TOKENS = frozenset(
 def better_direction(metric_name: str) -> str:
     """Direction of goodness for a metric, inferred from its name.
 
-    The one shared rule every gate uses (study summaries, the bench
-    baseline, the declarative checks): throughput-like quantities —
+    The one shared rule every gate uses (study summaries, ``repro.bench/v1``
+    documents, the declarative checks): throughput-like quantities —
     bandwidths, BabelStream rates, events/sec — are better *higher*;
     everything else (latencies, walls, counts of bad events) is better
     *lower*.  Matching is case-insensitive and token-wise over the full

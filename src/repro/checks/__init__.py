@@ -5,8 +5,8 @@ values with tolerances (ReFrame's ``(value, lower, upper, unit)``
 idiom), statistical policies (interval, Welch-t, Mann-Whitney,
 bootstrap) with adaptive repeat counts, extractor paths addressing any
 table cell / obs metric / ledger run, and a single evaluator that
-``compare``, ``bench``, ``runs diff`` and ``python -m repro check``
-all gate through.
+``compare``, ``runs diff`` and ``python -m repro check`` all gate
+through.
 """
 
 from .evaluate import (

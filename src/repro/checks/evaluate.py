@@ -4,8 +4,8 @@ Two entry points:
 
 * :func:`classify_delta` — the baseline-vs-current comparator
   (practical threshold AND Welch significance must agree before a
-  change counts).  ``repro bench --baseline``, ``repro runs diff`` and
-  the study ledger all delegate here via
+  change counts).  ``repro runs diff`` and the study ledger delegate
+  here via
   :func:`repro.obs.analyze.baseline.compare_metric`.
 * :func:`evaluate` — judge a :class:`~repro.checks.spec.CheckSuite`
   against a :class:`~repro.checks.extract.Source`, producing a
@@ -60,7 +60,7 @@ PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 
 # ---------------------------------------------------------------------------
-# baseline-vs-current comparator (bench / runs diff delegate here)
+# baseline-vs-current comparator (runs diff delegates here)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)

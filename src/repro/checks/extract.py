@@ -1,8 +1,8 @@
 """Extractors: address any study output by a dotted path.
 
 One path grammar covers the three kinds of numbers the repo produces,
-so a single check spec can gate paper tables, obs metrics and bench
-targets alike:
+so a single check spec can gate paper tables, obs metrics and ledgered
+runs alike:
 
 ``table4.<machine>.<single|all|on_socket|on_node>``
     Cells of the non-accelerator table (GB/s and microseconds).
@@ -208,8 +208,8 @@ class MetricsSource(Source):
     """Resolves ``metrics:`` paths over ``repro.bench/v1`` metric rows.
 
     Accepts either a flat ``{name: row}`` mapping (a study's
-    ``outcome_summary()``) or a full bench document with a ``targets``
-    mapping (``BenchRun.to_json()`` / a ledger metrics doc).
+    ``outcome_summary()``) or a full ``repro.bench/v1`` document with a
+    ``targets`` mapping (``BenchRun.to_json()`` / a ledger metrics doc).
     """
 
     def __init__(self, doc: Mapping):

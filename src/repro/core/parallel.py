@@ -408,7 +408,7 @@ class CellScheduler:
         if self.cache is not None:
             out["cache"] = self.cache.stats()
         if self.jobs > 1:
-            # always present under --jobs (zeros included) so bench
+            # always present under --jobs (zeros included) so the
             # advisory fields are stable run to run
             totals = {
                 "dispatched": 0, "retried": 0, "timeouts": 0,

@@ -122,7 +122,8 @@ class TraceAnalysisError(ReproError, ValueError):
 
 
 class BenchDataError(ReproError, ValueError):
-    """A benchmark-trajectory file (``BENCH_*.json``) is malformed or
+    """A ``repro.bench/v1`` metrics document (a ledgered run's
+    ``metrics.json`` or a committed ``BENCH_*.json``) is malformed or
     incompatible with the current schema."""
 
 

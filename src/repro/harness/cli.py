@@ -14,8 +14,6 @@ Usage::
     python -m repro table4 --profile     # per-subsystem event-loop profile
     python -m repro table6 --trace-out t.json --metrics-out m.json
     python -m repro table4 --jobs 4      # parallel cells, identical bytes
-    python -m repro bench --repeats 5 --out BENCH_1.json
-    python -m repro bench --baseline BENCH_baseline.json   # exit 4 on regression
     python -m repro table4 --jobs 4 --cell-timeout 120   # kill+retry slow cells
     python -m repro all --resume study.cells   # rerun replays finished cells
     python -m repro all --jobs 4 --progress   # live cells-done/ETA ticker
@@ -271,13 +269,6 @@ def _print_internode() -> str:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        # the bench harness has its own flag set and exit-code contract
-        # (0 ok / 3 incomplete / 4 regressed); everything else below is
-        # untouched so un-flagged runs stay byte-identical
-        from .bench import bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "runs":
         # cross-run analytics over the ledger (0 ok / 2 usage error /
         # 3 significant regression from `runs diff`)
@@ -286,8 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         return runs_main(argv[1:])
     if argv and argv[0] == "check":
         # declarative regression checks (0 ok / 3 regression /
-        # 4 inflated); like `bench` and `runs` the word must come
-        # first, and as a positional target it is an invalid choice
+        # 4 inflated); like `runs` the word must come first, and as a
+        # positional target it is an invalid choice
         from .check_cli import check_main
 
         return check_main(argv[1:])

@@ -162,8 +162,8 @@ def gate_comparison(rows: list[ComparisonRow], tolerance: float = 0.05):
     Each non-degraded row becomes one interval check — the paper mean
     with a ``±tolerance`` relative band — evaluated by
     :func:`repro.checks.evaluate.evaluate`, so the sim-vs-paper gate
-    uses the exact same threshold semantics as ``repro check`` and the
-    bench baseline.  Degraded rows are excluded the same way the error
+    uses the exact same threshold semantics as ``repro check``.
+    Degraded rows are excluded the same way the error
     statistics exclude them.  Returns the
     :class:`~repro.checks.evaluate.CheckReport`.
     """

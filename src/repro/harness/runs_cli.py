@@ -1,16 +1,16 @@
 """``python -m repro runs`` — cross-run analytics over the run ledger.
 
-The ledger (:mod:`repro.obs.ledger`) records every CLI/bench
-invocation; this module is the query side:
+The ledger (:mod:`repro.obs.ledger`) records every CLI invocation;
+this module is the query side:
 
 * ``runs list`` — filterable history table (newest first), with the
   ``—†`` degraded-run footnote discipline of the results tables;
 * ``runs show <run>`` — one run's config, outcome and metrics;
 * ``runs diff <a> <b>`` — config-fingerprint diff plus the Welch-tested
-  metric comparison the bench gate uses (exit 3 on a significant
-  regression, so CI can gate on history);
-* ``runs trend <metric>`` — a metric's trajectory as a sparkline over
-  committed ``BENCH_*.json`` baselines and ledgered runs;
+  metric comparison of :mod:`repro.obs.analyze.baseline` (exit 3 on a
+  significant regression, so CI can gate on history);
+* ``runs trend <metric>`` — a metric's trajectory over ledgered runs as
+  a sparkline;
 * ``runs flame <run>`` — text flamegraph of the recorded critical-path
   attribution, with per-span drill-down via ``--cell``;
 * ``runs gc`` — prune history to the newest N runs.
@@ -77,7 +77,6 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="run history, newest first")
-    p_list.add_argument("--kind", choices=("cli", "bench"), default=None)
     p_list.add_argument(
         "--target", default=None,
         help="only runs whose target list contains this substring",
@@ -97,16 +96,14 @@ def _parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--alpha", type=float, default=0.01)
 
     p_trend = sub.add_parser(
-        "trend", help="one metric across baselines and ledgered runs"
+        "trend", help="one metric across ledgered runs"
     )
-    p_trend.add_argument("metric", help="metric name, e.g. sim.latency_us")
+    p_trend.add_argument(
+        "metric", help="metric name, e.g. sim.Sawtooth/osu/on-socket"
+    )
     p_trend.add_argument(
         "--target", default=None,
-        help="bench target the metric belongs to (required when ambiguous)",
-    )
-    p_trend.add_argument(
-        "--bench", default=None, metavar="DIR",
-        help="also seed the trend from committed BENCH_*.json files in DIR",
+        help="target the metric belongs to (required when ambiguous)",
     )
     p_trend.add_argument("--width", type=int, default=40)
 
@@ -146,8 +143,6 @@ def _cmd_list(ledger: RunLedger, args) -> int:
             file=sys.stderr,
         )
     records = list(reversed(records))
-    if args.kind:
-        records = [r for r in records if r.get("kind") == args.kind]
     if args.target:
         records = [
             r for r in records
@@ -203,7 +198,7 @@ def _cmd_show(ledger: RunLedger, args) -> int:
     print(f"recorded: {_fmt_when(record.get('finished'))}")
     print(
         f"config: seed={config.get('seed', '—')} "
-        f"runs={config.get('runs', record.get('seed', '—'))} "
+        f"runs={config.get('runs', '—')} "
         f"jobs={config.get('jobs', '—')} "
         f"faults={config.get('faults', 'none')}"
     )
@@ -283,9 +278,12 @@ def _metric_points(
 def _cmd_trend(ledger: RunLedger, args) -> int:
     rows: list[list[str]] = []
     values: list[float] = []
-
-    def add(source: str, when: str, doc: dict) -> None:
-        points = _metric_points(doc, args.metric, args.target)
+    records, _skipped = ledger.read_index()
+    for record in records:
+        run = ledger.load(record["run_id"])
+        if run.metrics is None:
+            continue
+        points = _metric_points(run.metrics, args.metric, args.target)
         if len(points) > 1:
             names = ", ".join(name for name, _v in points)
             raise LedgerError(
@@ -293,34 +291,12 @@ def _cmd_trend(ledger: RunLedger, args) -> int:
                 f"({names}); disambiguate with --target"
             )
         for _name, value in points:
-            rows.append([source, when, f"{value:.6g}"])
+            rows.append([
+                f"run {record['run_id']}",
+                _fmt_when(record.get("finished")),
+                f"{value:.6g}",
+            ])
             values.append(value)
-
-    if args.bench:
-        import json
-        from pathlib import Path
-
-        def ordinal(path: Path):
-            stem = path.stem.rsplit("_", 1)[-1]
-            return (0, int(stem)) if stem.isdigit() else (1, 0)
-
-        for path in sorted(Path(args.bench).glob("BENCH_*.json"),
-                           key=lambda p: (ordinal(p), p.name)):
-            try:
-                doc = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            add(path.name, doc.get("config", {}).get("date", "—"), doc)
-    records, _skipped = ledger.read_index()
-    for record in records:
-        run = ledger.load(record["run_id"])
-        if run.metrics is None:
-            continue
-        add(
-            f"run {record['run_id']}",
-            _fmt_when(record.get("finished")),
-            run.metrics,
-        )
     if not values:
         print(f"no recorded value for metric {args.metric!r}")
         return 1

@@ -15,7 +15,7 @@ front of DDR4 (paper section 4).  Consequences modelled here:
 
 The paper's sweep tops out at 128 MB vectors (~0.4 GB working set), so
 its tables sit entirely on the MCDRAM plateau; the cliff beyond 16 GiB
-is exercised by the extension bench.
+is exercised by ``tests/memsys/test_knl_cache.py``.
 """
 
 from __future__ import annotations

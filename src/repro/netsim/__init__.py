@@ -15,8 +15,8 @@ provides that extension on the same simulation substrate:
   node-level transport the tables were built on.
 
 Everything here is an *extension*: the paper has no inter-node tables,
-so the regeneration benches under ``benchmarks/`` label these as
-future-work experiments rather than paper artifacts.
+so the ``internode`` target labels these as future-work experiments
+rather than paper artifacts.
 """
 
 from .fabric import FabricSpec, fabric_for_machine, FABRIC_CATALOG

@@ -28,7 +28,7 @@ chains are deliberately independent — telemetry never re-keys the cell
 cache and never touches stdout.
 
 The persistent *run ledger* (:mod:`repro.obs.ledger`, DESIGN.md §5i)
-sits one level above both: every CLI/bench invocation records its
+sits one level above both: every CLI invocation records its
 manifest, metrics, outcome and attribution under a content-addressed
 run id, making runs comparable across time via ``repro runs``.
 """
@@ -55,7 +55,6 @@ from .ledger import (
     LedgerRun,
     RunLedger,
     default_ledger_dir,
-    record_bench_run,
     record_study_run,
     study_metrics_doc,
     study_outcome_doc,
@@ -158,5 +157,4 @@ __all__ = [
     "study_metrics_doc",
     "study_outcome_doc",
     "record_study_run",
-    "record_bench_run",
 ]

@@ -1,16 +1,13 @@
 """Analysis over recorded observability artifacts.
 
-Three pieces close the loop the exporters open:
-
-* :mod:`repro.obs.analyze.reader` — Chrome ``trace_event`` JSON back
-  into typed :class:`ReadSpan` records (:class:`TraceDocument`);
 * :mod:`repro.obs.analyze.critical_path` — exclusive per-phase latency
-  attribution of each benchmark cell window, plus the span-vs-counter
-  cross-check;
-* :mod:`repro.obs.analyze.baseline` — the ``BENCH_*.json`` baseline
-  store and its Welch-tested comparator (the ``repro bench`` gate);
+  attribution of each benchmark cell window;
+* :mod:`repro.obs.analyze.baseline` — the ``repro.bench/v1`` metrics
+  schema and its Welch-tested comparator (``repro runs diff``);
 * :mod:`repro.obs.analyze.flamegraph` — text icicle rendering of the
-  attribution (the ``repro runs flame`` drill-down).
+  attribution (the ``repro runs flame`` drill-down);
+* :mod:`repro.obs.analyze.report` — table rendering of metrics
+  documents, comparisons and attributions.
 """
 
 from .baseline import (
@@ -24,37 +21,29 @@ from .baseline import (
     TargetRecord,
     compare_metric,
     compare_runs,
-    load_bench,
-    save_bench,
 )
 from .critical_path import (
     OVERHEAD_PHASE,
     PhaseAttribution,
+    ReadSpan,
     Segment,
-    SPAN_COUNTER_MAP,
     attribute_cells,
     attribute_window,
     attributions_from_tracer,
-    cross_check_counters,
     phase_of,
 )
 from .flamegraph import render_flame
-from .reader import ReadInstant, ReadSpan, TraceDocument
 from .report import render_attribution, render_comparison, render_run
 
 __all__ = [
-    "TraceDocument",
     "ReadSpan",
-    "ReadInstant",
     "PhaseAttribution",
     "Segment",
     "OVERHEAD_PHASE",
-    "SPAN_COUNTER_MAP",
     "phase_of",
     "attribute_window",
     "attribute_cells",
     "attributions_from_tracer",
-    "cross_check_counters",
     "render_flame",
     "BENCH_SCHEMA",
     "DEFAULT_THRESHOLD",
@@ -66,8 +55,6 @@ __all__ = [
     "BenchComparison",
     "compare_metric",
     "compare_runs",
-    "load_bench",
-    "save_bench",
     "render_run",
     "render_comparison",
     "render_attribution",

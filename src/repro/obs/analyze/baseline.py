@@ -1,15 +1,16 @@
-"""The benchmark-trajectory baseline store and its comparator.
+"""The ``repro.bench/v1`` metrics schema and its comparator.
 
-``BENCH_*.json`` files (schema ``repro.bench/v1``) record, per bench
-target, summary statistics — mean/std/n over the harness's repeats —
-for three metric families:
+A ``repro.bench/v1`` document records, per target, summary statistics
+(mean/std/n) for named metrics, each marked gating or advisory.  Every
+ledgered run's ``metrics.json`` is one (the study's ``sim.*`` cells as
+a single ``study`` target), and so are the committed ``BENCH_*.json``
+files, the frozen record of an earlier in-process bench harness:
 
-* ``sim.*`` — key simulated latencies (deterministic given the seed;
-  these **gate** the regression exit code);
-* ``wall_seconds`` — host wall-time per repeat (machine-dependent,
-  advisory: classified and reported but never gating);
-* ``events_per_sec`` — the :class:`~repro.obs.profiler.SimProfiler`
-  throughput figure (advisory for the same reason).
+* ``sim.*`` — simulated quantities (deterministic given the seed;
+  these **gate**);
+* ``wall_seconds``, ``events_per_sec`` and other host-side figures
+  (machine-dependent, advisory: classified and reported but never
+  gating).
 
 The comparator follows "MPI Benchmarking Revisited": a metric only
 counts as changed when the delta is *both* statistically defensible
@@ -19,13 +20,12 @@ practically large (relative error above a threshold,
 (zero variance on both sides) degenerate cleanly: any relative error
 above the threshold is a certain change.  The verdict itself is
 computed by the one shared comparator,
-:func:`repro.checks.evaluate.classify_delta` — ``bench --baseline``,
-``runs diff`` and the declarative check suites all gate through it.
+:func:`repro.checks.evaluate.classify_delta` — ``runs diff`` and the
+declarative check suites both gate through it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,7 +43,7 @@ _VERDICTS = ("improved", "unchanged", "regressed", "missing")
 
 @dataclass(frozen=True)
 class MetricStat:
-    """Summary statistics for one metric of one bench target."""
+    """Summary statistics for one metric of one target."""
 
     mean: float
     std: float
@@ -51,7 +51,7 @@ class MetricStat:
     unit: str = ""
     #: direction of goodness: "lower" (latency) or "higher" (throughput)
     better: str = "lower"
-    #: whether a regression in this metric fails the bench gate
+    #: whether a regression in this metric fails a comparison
     gate: bool = True
 
     def __post_init__(self) -> None:
@@ -85,7 +85,7 @@ class MetricStat:
 
 @dataclass
 class TargetRecord:
-    """One bench target's measured metrics plus its phase digest."""
+    """One target's measured metrics plus its phase digest."""
 
     metrics: dict[str, MetricStat] = field(default_factory=dict)
     #: per-cell phase attribution digests (``PhaseAttribution.to_json``)
@@ -123,7 +123,7 @@ class TargetRecord:
 
 @dataclass
 class BenchRun:
-    """One full bench invocation: every target's record plus config."""
+    """One ``repro.bench/v1`` document: every target's record plus config."""
 
     repeats: int
     seed: int
@@ -172,21 +172,6 @@ class BenchRun:
                 for name, entry in targets_doc.items()
             },
         )
-
-
-def save_bench(path: str, run: BenchRun) -> None:
-    with open(path, "w") as fh:
-        json.dump(run.to_json(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench(path: str) -> BenchRun:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BenchDataError(f"cannot read bench file {path}: {exc}") from exc
-    return BenchRun.from_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +227,8 @@ def compare_metric(
     """Classify one metric: both tests must agree before a change counts.
 
     Delegates to the shared :func:`repro.checks.evaluate.classify_delta`
-    comparator so the bench gate, ``runs diff`` and declarative check
-    suites cannot drift apart.
+    comparator so ``runs diff`` and the declarative check suites cannot
+    drift apart.
     """
     from ...checks.evaluate import classify_delta
 

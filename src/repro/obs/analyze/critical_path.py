@@ -20,9 +20,8 @@ harness asserts).  For a serialised microbenchmark — a ping-pong, a
 single memcpy — this exclusive timeline *is* the critical path.
 
 Works on both live :class:`repro.obs.span.SpanRecord` objects and
-:class:`repro.obs.analyze.reader.ReadSpan` records read back from a
-trace file; anything exposing ``name``/``category``/``sim_begin``/
-``sim_end`` qualifies.
+:class:`ReadSpan` records; anything exposing ``name``/``category``/
+``sim_begin``/``sim_end`` qualifies.
 """
 
 from __future__ import annotations
@@ -40,6 +39,37 @@ OVERHEAD_PHASE = "overhead"
 #: categories whose spans participate in attribution (the ``benchmarks``
 #: window itself and wall-time ``study`` cells are containers, not phases)
 _PHASE_CATEGORIES = frozenset({"mpisim", "netsim", "gpurt"})
+
+
+@dataclass(frozen=True)
+class ReadSpan:
+    """One span as attribution reads it (times in seconds)."""
+
+    name: str
+    category: str
+    #: ``"sim"`` (simulated clock) or ``"wall"`` (host, origin-relative)
+    timeline: str
+    begin: float
+    #: ``None`` for a span that was still open when it was read
+    end: Optional[float]
+    args: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def finished(self) -> bool:
+        return self.end is not None
+
+    @property
+    def duration(self) -> Optional[float]:
+        return None if self.end is None else self.end - self.begin
+
+    @property
+    def sim_begin(self) -> Optional[float]:
+        """Simulated begin time, mirroring ``SpanRecord`` (None on wall)."""
+        return self.begin if self.timeline == "sim" else None
+
+    @property
+    def sim_end(self) -> Optional[float]:
+        return self.end if self.timeline == "sim" else None
 
 
 def phase_of(name: str, category: str) -> str:
@@ -270,15 +300,9 @@ def attribute_cells(
 def attributions_from_tracer(tracer) -> list[PhaseAttribution]:
     """Attribute every benchmark cell window recorded by a live tracer.
 
-    Bridges the live :class:`~repro.obs.span.SpanTracer` to the
-    file-oriented attribution path: finished simulated-time spans become
-    :class:`~repro.obs.analyze.reader.ReadSpan` records and run through
-    :func:`attribute_cells` — the exact pipeline ``analyze`` applies to
-    a trace read back from disk, so live and post-hoc attribution can
-    never disagree.
+    Simulated-time spans become :class:`ReadSpan` records and run
+    through :func:`attribute_cells`.
     """
-    from .reader import ReadSpan
-
     spans = [
         ReadSpan(
             name=r.name,
@@ -291,58 +315,3 @@ def attributions_from_tracer(tracer) -> list[PhaseAttribution]:
         if r.sim_begin is not None
     ]
     return attribute_cells(spans)
-
-
-# ---------------------------------------------------------------------------
-# metrics cross-check: spans vs DECLARED_COUNTERS
-# ---------------------------------------------------------------------------
-
-#: span name (exact or ``prefix:``) -> counter that must agree with its
-#: multiplicity in a lossless trace
-SPAN_COUNTER_MAP: dict[str, str] = {
-    "send.eager": "mpisim.send.eager",
-    "send.rendezvous": "mpisim.send.rendezvous",
-    "xfer:": "netsim.link.reserved",
-    "launch:": "gpurt.kernel.launched",
-    "exec:": "gpurt.kernel.completed",
-    "dma:": "gpurt.dma.issued",
-}
-
-
-def cross_check_counters(
-    span_names: dict[str, int],
-    snapshot: dict,
-    dropped: int = 0,
-) -> list[str]:
-    """Compare span multiplicities against the metrics snapshot.
-
-    Returns human-readable findings (empty = consistent).  A trace with
-    dropped records cannot be checked exactly, so only counters the
-    trace *over*-reports are flagged then.
-    """
-    findings: list[str] = []
-    for key, counter in SPAN_COUNTER_MAP.items():
-        if key.endswith(":"):
-            observed = sum(
-                n for name, n in span_names.items() if name.startswith(key)
-            )
-        else:
-            observed = span_names.get(key, 0)
-        entry = snapshot.get(counter)
-        if entry is None:
-            if observed:
-                findings.append(
-                    f"{observed} {key!r} span(s) but counter {counter} "
-                    "is absent from the snapshot"
-                )
-            continue
-        expected = entry.get("value", 0)
-        if observed == expected:
-            continue
-        if dropped and observed < expected:
-            continue  # the ring dropped records; undercount is expected
-        findings.append(
-            f"span/counter mismatch: {observed} {key!r} span(s) vs "
-            f"{counter} = {expected}"
-        )
-    return findings

@@ -1,7 +1,8 @@
-"""Human-readable rendering for bench runs and baseline comparisons.
+"""Human-readable rendering for metrics documents, their comparisons
+and phase attributions.
 
 Everything routes through :func:`repro.analysis.format.layout_table` so
-the bench report matches the table style of the rest of the harness.
+these reports match the table style of the rest of the harness.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _fmt_stat(mean: float | None, std: float | None) -> str:
 
 
 def render_run(run: BenchRun) -> str:
-    """One row per (target, metric) of a bench run."""
+    """One row per (target, metric) of a ``repro.bench/v1`` document."""
     rows = []
     for target_name in sorted(run.targets):
         record = run.targets[target_name]

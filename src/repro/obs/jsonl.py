@@ -10,7 +10,10 @@ The run event log (:mod:`repro.obs.events`) and the run ledger's
   fragment terminates it before its first line, so new data can never
   merge with the fragment;
 * **read** — unparseable lines (the torn fragment) and lines the caller
-  rejects are skipped and counted, never raised on.
+  rejects are skipped and counted, never raised on;
+* **rewrite** — a whole new file is written beside the old one, fsynced,
+  renamed over it and the rename fsynced, so a reader sees either the
+  old lines or the new ones.
 """
 
 from __future__ import annotations
@@ -40,6 +43,23 @@ def append_line(fh: TextIO, record: dict) -> None:
     fh.write(json.dumps(record, sort_keys=True) + "\n")
     fh.flush()
     os.fsync(fh.fileno())
+
+
+def rewrite_lines(path: Path, records: list[dict]) -> None:
+    """Replace ``path`` with ``records`` (same line format as
+    :func:`append_line`), durably; raises :class:`OSError`."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        fh.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    # fsync the directory too, or a crash can lose the rename
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def read_jsonl(

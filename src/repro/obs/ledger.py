@@ -1,15 +1,15 @@
 """Persistent run ledger: the durable, queryable record of every run.
 
 PR 7 made a *single* run observable; this module makes runs comparable
-*across time*.  Every CLI/bench invocation (opt-out via ``--no-ledger``)
+*across time*.  Every CLI invocation (opt-out via ``--no-ledger``)
 records, under a content-addressed run id in ``.repro/runs/<run-id>/``:
 
 * ``manifest.json`` — the ``repro.manifest/v1`` provenance record
   (config fingerprint, seed rule, versions, side files);
 * ``metrics.json`` — a ``repro.bench/v1`` document holding the run's
-  comparable numbers: the per-cell simulated statistics of a study run
-  (:func:`study_metrics_doc`) or the bench harness's target trajectory
-  — one shared schema, so ``runs diff``/``trend`` reuse the Welch
+  comparable numbers, the per-cell simulated statistics of the study
+  (:func:`study_metrics_doc`) — the schema of the committed
+  ``BENCH_*.json`` files, so ``runs diff``/``trend`` reuse the Welch
   machinery of :mod:`repro.obs.analyze.baseline` unchanged;
 * ``outcome.json`` — how the run ended: exit code, ``ok`` /
   ``error`` / ``interrupted``, degraded-cell count, wall seconds,
@@ -24,7 +24,9 @@ per run, flush + fsync, with the :mod:`repro.obs.jsonl` torn-tail
 discipline the event log shares: seal a torn final line on the next
 append, skip + count it on read) makes history listable without
 touching the per-run directories; :meth:`RunLedger.gc` prunes the
-oldest runs.
+oldest runs.  New records are ``kind: "cli"``; ledgers written while
+the package still had a ``bench`` command may also hold
+``kind: "bench"`` records, which list, show, diff and trend alike.
 
 The ledger is *telemetry*, not results: recording happens after stdout
 is complete, every failure degrades to a warning, and nothing under the
@@ -45,7 +47,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from ..errors import LedgerError
-from .jsonl import append_line, open_append, read_jsonl
+from .jsonl import append_line, open_append, read_jsonl, rewrite_lines
 
 #: schema tag stamped on every index line and outcome document; bump on
 #: any layout change so consumers can reject foreign lines
@@ -264,14 +266,21 @@ class RunLedger:
     def gc(self, keep: int = 32) -> list[str]:
         """Drop all but the newest ``keep`` runs; returns removed ids.
 
-        Run directories of pruned entries are deleted and the index is
-        rewritten atomically with the surviving lines.
+        The surviving index lines are written durably first, and only
+        then are the pruned run directories deleted: a failed rewrite
+        deletes nothing, and the index never lists a deleted run.
         """
         if keep < 0:
             raise LedgerError(f"gc keep count must be >= 0: {keep}")
         records, _skipped = self.read_index()
         kept = records[len(records) - keep:] if keep else []
         dropped = records[: len(records) - len(kept)]
+        try:
+            rewrite_lines(self.index_path, kept)
+        except OSError as exc:
+            raise LedgerError(
+                f"cannot rewrite ledger index {self.index_path}: {exc}"
+            ) from exc
         surviving = {r["run_id"] for r in kept}
         removed: list[str] = []
         for record in dropped:
@@ -280,18 +289,6 @@ class RunLedger:
             if run_id in surviving:
                 continue  # content-addressed duplicate still referenced
             shutil.rmtree(self.directory / run_id, ignore_errors=True)
-        try:
-            tmp = self.index_path.with_name("index.jsonl.tmp")
-            tmp.write_text(
-                "".join(
-                    json.dumps(r, sort_keys=True) + "\n" for r in kept
-                )
-            )
-            os.replace(tmp, self.index_path)
-        except OSError as exc:
-            raise LedgerError(
-                f"cannot rewrite ledger index {self.index_path}: {exc}"
-            ) from exc
         return removed
 
     def stats(self) -> dict:
@@ -303,7 +300,7 @@ class RunLedger:
 
 
 # ---------------------------------------------------------------------------
-# document assembly: one shared path for the CLI and the bench harness
+# document assembly
 # ---------------------------------------------------------------------------
 
 def study_metrics_doc(study) -> dict:
@@ -311,8 +308,8 @@ def study_metrics_doc(study) -> dict:
 
     The flattened per-cell statistics (:meth:`~repro.core.study.Study
     .outcome_summary`) become the metrics of a single ``study`` target,
-    so two ledgered CLI runs diff through the exact comparator the
-    bench gate uses.
+    so two ledgered CLI runs diff through the Welch-tested comparator of
+    :mod:`repro.obs.analyze.baseline`.
     """
     config = study.config
     target: dict[str, Any] = {"metrics": study.outcome_summary()}
@@ -427,83 +424,6 @@ def record_study_run(
         return None
 
 
-def record_bench_run(
-    run,
-    *,
-    directory: str | Path | None = None,
-    started: Optional[float] = None,
-    finished: Optional[float] = None,
-    exit_code: int = 0,
-    jobs: int = 1,
-    attributions=(),
-    ledger: Optional[RunLedger] = None,
-) -> Optional[LedgerEntry]:
-    """Assemble and record one bench invocation; never raises.
-
-    ``run`` is the harness's :class:`~repro.obs.analyze.baseline
-    .BenchRun`; its document *is* the metrics record, so ledgered bench
-    runs diff and trend against CLI runs and committed ``BENCH_*.json``
-    files alike.
-    """
-    try:
-        from ..core.study import Study, StudyConfig
-        from ..faults import get_profile
-
-        finished = time.time() if finished is None else finished
-        ledger = ledger if ledger is not None else RunLedger(directory)
-        plan = get_profile(run.faults)
-        study = Study(StudyConfig(
-            runs=run.repeats, seed=run.seed,
-            faults=None if plan.is_null() else plan, jobs=jobs,
-        ))
-        from .manifest import build_manifest
-
-        manifest = build_manifest(
-            study,
-            targets=sorted(run.targets),
-            started=started,
-            finished=finished,
-        )
-        degraded = sum(
-            1 for record in run.targets.values() if record.degraded
-        )
-        outcome_doc: dict[str, Any] = {
-            "schema": LEDGER_SCHEMA,
-            "outcome": "ok",
-            "exit_code": exit_code,
-            "started": started,
-            "finished": finished,
-            "wall_seconds": (
-                finished - started if started is not None else None
-            ),
-            "jobs": jobs,
-            "cells": {"total": len(run.targets), "degraded": degraded},
-            "degraded": sorted(
-                name for name, record in run.targets.items()
-                if record.degraded
-            ),
-        }
-        attribution = [
-            a.to_detailed_json() for a in attributions
-        ] or None
-        return ledger.record(
-            kind="bench",
-            targets=sorted(run.targets),
-            manifest=manifest,
-            metrics=run.to_json(),
-            outcome=outcome_doc,
-            attribution=attribution,
-        )
-    except Exception as exc:
-        warnings.warn(
-            f"run-ledger recording failed: {exc} "
-            f"(bench results are unaffected)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-
-
 __all__ = [
     "LEDGER_SCHEMA",
     "LEDGER_DIR_ENV",
@@ -514,5 +434,4 @@ __all__ = [
     "study_metrics_doc",
     "study_outcome_doc",
     "record_study_run",
-    "record_bench_run",
 ]

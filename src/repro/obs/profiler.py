@@ -140,8 +140,8 @@ class SimProfiler:
         """Fold a worker profiler's :meth:`dump_state` into this one.
 
         Event and callback counts add exactly; host seconds add as
-        floats (they are advisory, host-dependent figures — the bench
-        gate never gates on them).
+        floats (they are advisory, host-dependent figures that no gate
+        reads).
         """
         for name, (events, callbacks, host_seconds) in state["subsystems"].items():
             stats = self.subsystems.get(name)

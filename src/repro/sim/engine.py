@@ -84,8 +84,7 @@ def set_profiler(profiler) -> object:
     The hook must expose ``account(event, callbacks, host_dt)``; it is
     invoked once per processed event on *every* environment in the
     process, which is exactly what study-level profiling wants (each
-    benchmark execution builds private environments, and ``repro
-    bench`` reuses the same hook for its events/sec trajectory).
+    benchmark execution builds private environments).
     """
     global _PROFILER
     if profiler is not None and not callable(

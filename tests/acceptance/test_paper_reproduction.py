@@ -16,6 +16,7 @@ from repro.harness.compare import (
     compare_table6,
 )
 from repro.harness.paper_values import PAPER_TABLE7
+from repro.hardware.gpu import GpuFamily
 from repro.hardware.topology import LinkClass
 
 
@@ -73,6 +74,16 @@ class TestSection4CpuClaims:
             if row.machine != "Theta":
                 assert theta.all_threads.mean < row.all_threads.mean
 
+    def test_table4_shape(self, t4):
+        """Trinity's KNL out-streams the Xeons; no on-node latency is
+        below its on-socket one; every bandwidth carries a spread, like
+        the paper's ± columns."""
+        by = {r.machine: r for r in t4}
+        assert by["Trinity"].all_threads.mean > by["Sawtooth"].all_threads.mean
+        for row in t4:
+            assert row.on_node.mean >= row.on_socket.mean * 0.999
+            assert row.single.std > 0 and row.all_threads.std > 0
+
 
 class TestSection4GpuClaims:
     def test_v100_below_a100_and_mi250x(self, t5):
@@ -104,6 +115,14 @@ class TestSection4GpuClaims:
         for name in ("Frontier", "RZVernal", "Tioga"):
             for stat in by[name].device_to_device.values():
                 assert stat.mean < 1.0
+        # the crossover: MI250X device latency ~ host latency, every
+        # CUDA machine's device latency >> host latency
+        for name in ("Frontier", "RZVernal", "Tioga"):
+            assert (by[name].device_to_device[LinkClass.A].mean
+                    < 1.2 * by[name].host_to_host.mean)
+        for name in ("Summit", "Sierra", "Perlmutter", "Polaris", "Lassen"):
+            assert (by[name].device_to_device[LinkClass.A].mean
+                    > 20 * by[name].host_to_host.mean)
 
     def test_nvlink_vs_pcie_adds_about_1us(self, t5):
         """the NVIDIA V100 platforms add roughly 1 us for the
@@ -134,6 +153,12 @@ class TestSection4CommScopeClaims:
             assert 4.0 <= by[name].launch.mean <= 5.0
         for name in ("Frontier", "Perlmutter", "Polaris", "RZVernal", "Tioga"):
             assert 1.4 <= by[name].launch.mean <= 2.25
+        v100_min = min(by[n].launch.mean for n in ("Summit", "Sierra", "Lassen"))
+        rest_max = max(
+            by[n].launch.mean
+            for n in ("Frontier", "Perlmutter", "Polaris", "RZVernal", "Tioga")
+        )
+        assert v100_min > 1.8 * rest_max
 
     def test_wait_hierarchy(self, t6):
         """5-6 us (V100), roughly 1 us (A100), .1-.2 us (MI250X)"""
@@ -144,6 +169,8 @@ class TestSection4CommScopeClaims:
             assert 0.9 <= by[name].wait.mean <= 1.4
         for name in ("Frontier", "RZVernal", "Tioga"):
             assert 0.1 <= by[name].wait.mean <= 0.2
+        assert by["Sierra"].wait.mean > 4 * by["Perlmutter"].wait.mean
+        assert by["Perlmutter"].wait.mean > 5 * by["Frontier"].wait.mean
 
     def test_hd_latency_ordering(self, t6):
         """MI250X 12-13 us, V100 7-8 us, A100 fastest at 4-6 us"""
@@ -163,6 +190,7 @@ class TestSection4CommScopeClaims:
             assert by[name].hd_bandwidth.mean > 40.0
         for name in ("Frontier", "Perlmutter", "Polaris", "RZVernal", "Tioga"):
             assert 23.0 <= by[name].hd_bandwidth.mean <= 26.0
+        assert by["Sierra"].hd_bandwidth.mean > 2 * by["Perlmutter"].hd_bandwidth.mean
 
     def test_perlmutter_polaris_gap(self, t6):
         """a substantial difference (14 us vs. 32 us) in their
@@ -209,6 +237,9 @@ class TestQuantitativeAgreement:
 
     def test_table7_ranges_overlap_paper(self, t7):
         """Measured family ranges must overlap the published ranges."""
+        assert [r.family for r in t7] == [
+            GpuFamily.V100, GpuFamily.A100, GpuFamily.MI250X,
+        ]
         for row in t7:
             ref = PAPER_TABLE7[row.family.value]
             for field in ("memory_bw", "mpi_latency", "kernel_launch",
@@ -219,3 +250,22 @@ class TestQuantitativeAgreement:
                 assert measured.low <= hi * 1.05 and measured.high >= lo * 0.95, (
                     row.family, field, (measured.low, measured.high), (lo, hi)
                 )
+
+    def test_table7_ranges_inside_paper_and_ordered(self, t7):
+        """Each measured family range lies inside the published one (5 %
+        slack per bound), and the families order as the paper's summary
+        table tells it."""
+        for row in t7:
+            ref = PAPER_TABLE7[row.family.value]
+            for field in ("memory_bw", "mpi_latency", "kernel_launch",
+                          "kernel_wait", "hd_latency", "hd_bandwidth",
+                          "d2d_latency"):
+                lo, hi = ref[field]
+                measured = getattr(row, field)
+                assert measured.low >= lo * 0.95, (row.family, field)
+                assert measured.high <= hi * 1.05, (row.family, field)
+        v100, a100, mi250x = t7
+        assert v100.memory_bw.high < a100.memory_bw.low
+        assert mi250x.mpi_latency.high < 0.1 * a100.mpi_latency.low
+        assert mi250x.kernel_wait.high < a100.kernel_wait.low < v100.kernel_wait.low
+        assert a100.hd_latency.high < v100.hd_latency.low < mi250x.hd_latency.low

@@ -10,9 +10,31 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from repro.benchmarks.commscope.launch import launch_latency
+from repro.benchmarks.commscope.memcpy_tests import memcpy_pinned_to_gpu
+from repro.benchmarks.osu.latency import measure_pingpong
 from repro.benchmarks.osu.runner import PairKind, latency_for_pair
 from repro.core.study import Study, StudyConfig
+from repro.core.tables import build_table4
+from repro.machines.registry import get_machine
+from repro.mpisim.placement import on_socket_pair
+from repro.mpisim.transport import BufferKind
 from repro.sim.random import NOISE_LATENCY, NoiseModel, RandomStreams
+from repro.units import to_us
+
+
+def _sawtooth_pingpong_us(nbytes):
+    machine = get_machine("sawtooth")
+    return to_us(measure_pingpong(
+        machine, on_socket_pair(machine), nbytes, BufferKind.HOST,
+        timed_iterations=1500, warmup=8,
+    ))
+
+
+def _sawtooth_table4_us(column):
+    study = Study(StudyConfig(runs=5, seed=20230612))
+    row = build_table4(study, machines=[get_machine("sawtooth")])[0]
+    return getattr(row, column).mean
 
 
 class TestDistributionAgreement:
@@ -73,6 +95,34 @@ class TestReproducibility:
         a = streams.get("Eagle", "osu", "on-socket").standard_normal(64)
         b = streams.get("Manzano", "osu", "on-socket").standard_normal(64)
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize("measure, reference", [
+        pytest.param(lambda: _sawtooth_pingpong_us(0),
+                     (0.48000, -0.02, 0.02, "us"),
+                     id="osu/sawtooth/on-socket-0b"),
+        pytest.param(lambda: _sawtooth_pingpong_us(1 << 20),
+                     (25.4271, -0.02, 0.02, "us"),
+                     id="osu/sawtooth/on-socket-1mb"),
+        pytest.param(lambda: to_us(memcpy_pinned_to_gpu(
+                         get_machine("frontier"), 128).seconds),
+                     (12.6151, -0.02, 0.02, "us"),
+                     id="commscope/frontier/h2d-128b"),
+        pytest.param(lambda: to_us(launch_latency(get_machine("summit"))),
+                     (4.84, -0.02, 0.02, "us"),
+                     id="commscope/summit/launch"),
+        pytest.param(lambda: _sawtooth_table4_us("on_socket"),
+                     (0.478641, -0.02, 0.02, "us"),
+                     id="study/table4-sawtooth/on-socket"),
+        pytest.param(lambda: _sawtooth_table4_us("on_node"),
+                     (0.480253, -0.02, 0.02, "us"),
+                     id="study/table4-sawtooth/on-node"),
+    ])
+    def test_committed_baseline_values(self, measure, reference):
+        """The six simulated values ``BENCH_baseline.json`` gates stay
+        within 2 % of its means, ReFrame-style ``(value, lower, upper,
+        unit)`` references with relative bounds."""
+        value, lower, upper, _unit = reference
+        assert value * (1 + lower) <= measure() <= value * (1 + upper)
 
 
 class TestPaperLikeSpread:

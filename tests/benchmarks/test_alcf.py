@@ -32,10 +32,14 @@ class TestThetaFootnote:
         osu = latency_for_pair(theta, PairKind.ON_SOCKET).latency
         alcf = alcf_latency(theta, on_socket_pair(theta)).latency
         assert alcf < osu
+        # the footnote's contrast: OSU's figure sits above the 5 us mark
+        assert to_us(osu) * 1.25 > 5.0
 
 
 class TestHealthyStacks:
-    @pytest.mark.parametrize("name", ["trinity", "eagle", "sawtooth"])
+    @pytest.mark.parametrize(
+        "name", ["trinity", "eagle", "sawtooth", "manzano"]
+    )
     def test_prepost_changes_nothing_elsewhere(self, name):
         machine = get_machine(name)
         osu = latency_for_pair(machine, PairKind.ON_SOCKET).latency

@@ -1,10 +1,12 @@
 """Regression pins for the one shared direction-of-goodness rule.
 
-``compare``/``bench``/the study ledger used to infer
-bandwidth-higher-vs-latency-lower independently; they now all call
-:func:`repro.analysis.metrics.better_direction`.  These pins freeze the
-inferred direction for every metric name any gate can see, so a future
-tweak to the inference tokens cannot silently flip a gate.
+``compare``, the study ledger and the checks all call
+:func:`repro.analysis.metrics.better_direction` to tell
+bandwidth-higher from latency-lower.  These pins freeze the inferred
+direction for every metric name any gate can see — including those of
+the committed ``BENCH_*.json`` files and of ledgered ``bench`` runs,
+which ``runs diff`` still compares — so a future tweak to the inference
+tokens cannot silently flip a gate.
 """
 
 import pytest
@@ -13,7 +15,7 @@ from repro.analysis.metrics import better_direction
 
 pytestmark = pytest.mark.checks
 
-#: every gating metric name the bench targets emit -> pinned direction
+#: every gating metric name in the committed BENCH_*.json -> direction
 BENCH_GATED = {
     "sim.latency_us": "lower",
     "sim.h2d_us": "lower",
@@ -22,7 +24,7 @@ BENCH_GATED = {
     "sim.table4.on_node_us": "lower",
 }
 
-#: the advisory (never-gating) bench metrics
+#: their advisory (never-gating) metrics
 BENCH_ADVISORY = {
     "wall_seconds": "lower",
     "events_per_sec": "higher",
@@ -85,15 +87,3 @@ def test_study_summary_rows_use_the_shared_rule(fast_study):
         elif "/osu/" in name or "/cs/" in name and "bandwidth" not in name:
             assert row["better"] == "lower", name
 
-
-def test_bench_metrics_use_the_shared_rule():
-    """The bench trajectory's direction column comes from the shared
-    rule for both gating and advisory families."""
-    from repro.harness.bench import run_bench
-
-    result = run_bench(
-        repeats=2, seed=3, targets=["osu/sawtooth/on-socket-0b"]
-    )
-    for record in result.run.targets.values():
-        for name, stat in record.metrics.items():
-            assert stat.better == better_direction(name), name

@@ -37,6 +37,7 @@ class TestAscii:
         assert "8 x MI250X (GCD)" in text
         assert "4x IF" in text        # quad links
         assert "2x IF" in text        # dual links
+        assert "IF(C-G)" in text      # CPU-GCD links
         assert "device-pair classes:" in text
         for cls in "ABCD":
             assert f"\n    {cls}: " in text
@@ -46,12 +47,16 @@ class TestAscii:
         assert "6 x Tesla V100" in text
         assert "X-Bus" in text
         assert "2x NVLink2" in text
+        # NVLink within a socket's tree (A), X-Bus across (B)
+        assert "\n    A: " in text and "\n    B: " in text
 
     def test_perlmutter_diagram_structure(self, perlmutter):
         text = render_node_ascii(perlmutter)
         assert "4 x A100" in text
         assert "4x NVLink3" in text
         assert "PCIe4" in text
+        # all-to-all NVLink: every pair is class A
+        assert "\n    A: " in text and "\n    B: " not in text
 
     def test_every_link_appears_once(self, frontier):
         text = render_node_ascii(frontier)
@@ -71,6 +76,7 @@ class TestDot:
         assert dot.rstrip().endswith("}")
         assert '"cpu0" [shape=box];' in dot
         assert '"gpu0" [shape=ellipse];' in dot
+        assert dot.count("gpu") >= 8
 
     def test_edge_count(self, perlmutter):
         dot = render_node_dot(perlmutter)

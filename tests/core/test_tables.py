@@ -11,6 +11,7 @@ from repro.core.tables import (
     render_table6,
 )
 from repro.hardware.topology import LinkClass
+from repro.harness.paper_values import PAPER_TABLE5, PAPER_TABLE6
 from repro.machines.registry import get_machine
 
 
@@ -57,7 +58,7 @@ class TestTable4:
 
 class TestTable5:
     def test_eight_rows(self, t5):
-        assert len(t5) == 8
+        assert [r.machine for r in t5] == list(PAPER_TABLE5)
 
     def test_class_columns_per_family(self, t5):
         by_name = {r.machine: r for r in t5}
@@ -68,6 +69,7 @@ class TestTable5:
             LinkClass.A, LinkClass.B
         }
         assert set(by_name["Perlmutter"].device_to_device) == {LinkClass.A}
+        assert set(by_name["Polaris"].device_to_device) == {LinkClass.A}
 
     def test_render_blank_cells_for_missing_classes(self, t5):
         text = render_table5(t5)
@@ -78,7 +80,7 @@ class TestTable5:
 
 class TestTable6:
     def test_eight_rows(self, t6):
-        assert len(t6) == 8
+        assert [r.machine for r in t6] == list(PAPER_TABLE6)
 
     def test_launch_hierarchy(self, t6):
         by_name = {r.machine: r for r in t6}

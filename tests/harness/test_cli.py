@@ -45,10 +45,18 @@ class TestRunTarget:
         assert "V100" in text and "MI250X" in text
 
     def test_table8(self, tiny_study):
-        assert "intel-mpi/2019.0.117" in run_target("table8", tiny_study)
+        text = run_target("table8", tiny_study)
+        for fragment in ("intel/2022.0.2", "cray-mpich/7.7.20",
+                         "intel-mpi/2019.0.117", "openmpi/4.1.0",
+                         "openmpi/1.10"):
+            assert fragment in text
 
     def test_table9(self, tiny_study):
-        assert "cuda/11.0.3" in run_target("table9", tiny_study)
+        text = run_target("table9", tiny_study)
+        for fragment in ("amd-mixed/5.3.0", "cuda/11.0.3", "cuda/10.1.243",
+                         "cuda/11.7", "cuda/11.4",
+                         "spectrum-mpi/rolling-release", "cray-mpich/8.1.26"):
+            assert fragment in text
 
     def test_figures(self, tiny_study):
         assert "Frontier node" in run_target("figure1", tiny_study)
@@ -114,16 +122,19 @@ SELFCHECK_LINE = (
 
 
 class TestOneSelfCheck:
-    @pytest.mark.parametrize(
-        "argv", [["--seed", "3", "check"], ["table4", "check"]]
-    )
-    def test_check_is_not_a_positional_target(self, argv, capsys):
-        # `check` is the regression-check subcommand: it must come first
+    @pytest.mark.parametrize("argv, word", [
+        (["--seed", "3", "check"], "check"),
+        (["table4", "check"], "check"),
+        (["bench"], "bench"),
+    ], ids=["argv0", "argv1", "argv2"])
+    def test_check_is_not_a_positional_target(self, argv, word, capsys):
+        # `check` is the regression-check subcommand: it must come
+        # first; `bench` is no command at all
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         captured = capsys.readouterr()
         assert excinfo.value.code == 2
-        assert "invalid choice: 'check'" in captured.err
+        assert f"invalid choice: '{word}'" in captured.err
         assert captured.out == ""
 
     def test_selfcheck_flags_add_no_sections(self, capsys, tmp_path):

@@ -3,12 +3,11 @@
 Covers the full subcommand family against a real recorded history:
 list filtering and the ``—†`` footnote discipline, show, the
 diff-against-self zero-delta contract, the golden injected-regression
-fixture (exit 3), trend over BENCH files + ledger runs, flame
+fixture (exit 3), trend over ledger runs, flame
 drill-down, and gc — plus the ``python -m repro runs`` dispatch.
 """
 
 import copy
-import json
 
 import pytest
 
@@ -114,6 +113,17 @@ class TestShow:
         assert _runs(["show", "zzzzzzzzzzzz"], history) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_config_without_runs_shows_placeholder(self, history, capsys):
+        entry = history["ledger"].record(
+            kind="cli", targets=["t"],
+            manifest={"config": {"seed": 7, "jobs": 1}},
+            outcome={"outcome": "ok", "exit_code": 0,
+                     "started": 7.0, "finished": 8.0},
+        )
+        assert _runs(["show", entry.run_id], history) == 0
+        out = capsys.readouterr().out
+        assert "config: seed=7 runs=— jobs=1 faults=none" in out
+
 
 class TestDiff:
     def test_identical_runs_report_zero_deltas(self, history, capsys):
@@ -148,26 +158,6 @@ class TestTrend:
         assert out.count(history["victim"]) >= 1
         assert "trend:" in out
         assert "3 point(s)" in out
-
-    def test_trend_seeds_from_bench_files(self, history, tmp_path, capsys):
-        bench_dir = tmp_path / "bench"
-        bench_dir.mkdir()
-        doc = {
-            "schema": "repro.bench/v1",
-            "config": {"repeats": 2, "seed": 77, "date": "2023-06-12"},
-            "targets": {"study": {"metrics": {history["victim"]: {
-                "mean": 1.0, "std": 0.0, "n": 2, "unit": "",
-                "better": "lower", "gate": True,
-            }}}},
-        }
-        (bench_dir / "BENCH_1.json").write_text(json.dumps(doc))
-        code = _runs(
-            ["trend", history["victim"], "--bench", str(bench_dir)], history
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "BENCH_1.json" in out
-        assert "4 point(s)" in out
 
     def test_unknown_metric_exits_1(self, history, capsys):
         assert _runs(["trend", "sim.not_a_metric"], history) == 1

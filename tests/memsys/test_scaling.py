@@ -67,6 +67,18 @@ class TestBindingEffects:
         winner = max(results, key=results.get)
         assert winner.proc_bind in ("true", "spread", "close")
 
+    def test_single_thread_rows_below_all_thread_rows(self, cpu_machines_list):
+        """On every CPU machine, each single-thread row of the Table 1
+        sweep stays below every multi-thread row."""
+        from repro.openmp.env import table1_configurations
+
+        for machine in cpu_machines_list:
+            single, multi = [], []
+            for env in table1_configurations(machine.node):
+                threads = env.resolve_num_threads(machine.node)
+                (single if threads == 1 else multi).append(bw(machine, env))
+            assert max(single) < min(multi), machine.name
+
 
 class TestAnomaly:
     def test_theta_anomaly_hits_multithread_only(self, trinity):

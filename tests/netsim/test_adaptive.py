@@ -96,12 +96,19 @@ class TestAdaptiveCluster:
 
     def test_adaptive_relieves_contention(self):
         """Two far streams: minimal routing halves their bandwidth,
-        adaptive routing restores it (the Valiant trade)."""
+        adaptive routing restores it (the Valiant trade) without
+        costing a lone stream anything."""
         frontier = get_machine("frontier")
-        results = {}
+        alone, results = {}, {}
         for adaptive in (False, True):
             cluster = Cluster(frontier, 64, adaptive=adaptive)
             stream, sink = self._stream_pair(cluster, 0, 60)
+            world = cluster.world([
+                ClusterRankLocation(core=0, node=0),
+                ClusterRankLocation(core=0, node=60),
+            ])
+            alone[adaptive] = world.run([stream(1), sink(0)])[0]
+            cluster.reset_network()
             placement = [
                 ClusterRankLocation(core=0, node=0),
                 ClusterRankLocation(core=0, node=60),
@@ -114,6 +121,11 @@ class TestAdaptiveCluster:
         minimal_low = min(results[False])
         adaptive_low = min(results[True])
         assert adaptive_low > 1.5 * minimal_low
+        # the neighbourhood effect under minimal routing, its relief
+        # under adaptive routing, and no loss for an uncontended stream
+        assert minimal_low < 0.7 * alone[False]
+        assert adaptive_low > 0.9 * alone[True]
+        assert alone[True] == pytest.approx(alone[False], rel=0.05)
 
     def test_adaptive_latency_unchanged_when_idle(self):
         """With no contention, adaptive routing picks the minimal path

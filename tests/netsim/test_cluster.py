@@ -197,3 +197,119 @@ class TestBandwidthAndContention:
         world2 = cluster.world(two_node_pair(cluster))
         second = world2.run(pingpong_fns(n, BufferKind.HOST))[0]
         assert second == pytest.approx(first, rel=1e-9)
+
+
+class TestInterNodeTable:
+    """The inter-node extension table (DESIGN.md §3b): latency and
+    bandwidth between nodes 0 and 4 of every machine, plus device-buffer
+    latency on the GPU machines."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        from repro.machines.registry import all_machines
+
+        out = {}
+        for machine in all_machines():
+            cluster = Cluster(machine, 8)
+            lat = cluster.world(two_node_pair(cluster, 0, 4)).run(
+                pingpong_fns(0, BufferKind.HOST)
+            )[0]
+            cluster.reset_network()
+            n = 16 << 20
+            bw = n / cluster.world(two_node_pair(cluster, 0, 4)).run(
+                pingpong_fns(n, BufferKind.HOST)
+            )[0]
+            dev = None
+            if machine.node.has_gpus:
+                cluster.reset_network()
+                dev = cluster.world(
+                    two_node_pair(cluster, 0, 4, device=True)
+                ).run(pingpong_fns(0, BufferKind.DEVICE))[0]
+            out[machine.name] = (lat, bw, dev)
+        return out
+
+    def test_latency_band(self, rows):
+        # microseconds everywhere: above every intra-node host latency,
+        # below 5 us — except Theta, whose anomalous MPI software
+        # overhead (paper section 4) inflates this figure too
+        assert len(rows) == 13
+        for name, (lat, _bw, _dev) in rows.items():
+            ceiling = us(10.0) if name == "Theta" else us(5.0)
+            assert us(0.8) < lat < ceiling, name
+
+    def test_slingshot11_doubles_100g_fabrics(self, rows):
+        ss11 = min(rows[n][1] for n in ("Frontier", "Perlmutter"))
+        edr = max(rows[n][1] for n in ("Summit", "Eagle"))
+        assert ss11 > 1.5 * edr
+
+    def test_device_latency_follows_gpu_network_integration(self, rows):
+        # RMA machines stay within a microsecond of host latency across
+        # nodes; the CUDA machines pay their pipeline overhead here too
+        for name in ("Frontier", "RZVernal", "Tioga"):
+            lat, _bw, dev = rows[name]
+            assert dev - lat < us(1.0), name
+        for name in ("Summit", "Perlmutter", "Polaris"):
+            lat, _bw, dev = rows[name]
+            assert dev - lat > us(8.0), name
+
+
+class TestClusterCollectives:
+    """Collectives across nodes (the paper's future-work item)."""
+
+    def test_allreduce_scales_logarithmically(self, frontier):
+        import operator
+
+        from repro.mpisim.collectives import allreduce
+
+        cluster = Cluster(frontier, 32)
+        times = {}
+        for n in (2, 4, 8, 16, 32):
+            cluster.reset_network()
+            world = cluster.world(cluster.placement(
+                ranks_per_node=1, nodes=list(range(n))
+            ))
+
+            def make(rank):
+                def fn(ctx):
+                    out = yield from allreduce(ctx, rank + 1, 8, operator.add)
+                    return out, ctx.env.now
+                return fn
+
+            results = world.run([make(r) for r in range(n)])
+            assert [v for v, _t in results] == [n * (n + 1) // 2] * n
+            times[n] = max(t for _v, t in results)
+        # recursive doubling: doubling the nodes adds one round
+        assert times[4] > times[2]
+        assert times[32] > times[16]
+        # far sub-linear: 16x more nodes costs < 6x the time
+        assert times[32] < 6 * times[2]
+        # a single inter-node round trip bounds the 2-node figure below
+        assert times[2] > us(1.5)
+
+    def test_bcast_tree_beats_allgather_ring(self, summit):
+        from repro.mpisim.collectives import allgather, bcast
+
+        cluster = Cluster(summit, 16)
+
+        def bcast_fn(rank):
+            def fn(ctx):
+                value = "payload" if rank == 0 else None
+                out = yield from bcast(ctx, value, 4096)
+                return out, ctx.env.now
+            return fn
+
+        def gather_fn(rank):
+            def fn(ctx):
+                out = yield from allgather(ctx, rank, 4096)
+                return out, ctx.env.now
+            return fn
+
+        world = cluster.world(cluster.placement(ranks_per_node=1))
+        bres = world.run([bcast_fn(r) for r in range(16)])
+        cluster.reset_network()
+        world = cluster.world(cluster.placement(ranks_per_node=1))
+        gres = world.run([gather_fn(r) for r in range(16)])
+        assert all(v == "payload" for v, _t in bres)
+        assert all(v == list(range(16)) for v, _t in gres)
+        # binomial tree (log N rounds) beats the ring (N-1 steps)
+        assert max(t for _v, t in bres) < max(t for _v, t in gres)

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from repro.errors import TraceAnalysisError
 from repro.harness.cli import main
-from repro.obs.analyze import TraceDocument, attribute_cells, attribute_window
-from repro.obs.analyze.reader import ReadSpan
+from repro.obs.analyze import ReadSpan, attribute_cells, attribute_window
 
 from .scan_oracle import scan_cells, scan_window
+from .trace_reader import TraceDocument
 
 NAMES = ["send.eager", "rendezvous.handshake", "xfer:a", "xfer:b",
          "exec:k", "dma:h2d", "osu.pingpong", "cell"]

@@ -1,4 +1,6 @@
-"""Baseline store: schema validation, round trip, comparator verdicts."""
+"""Metrics documents: schema validation, round trip, comparator verdicts."""
+
+import json
 
 import pytest
 
@@ -10,10 +12,8 @@ from repro.obs.analyze import (
     TargetRecord,
     compare_metric,
     compare_runs,
-    load_bench,
     render_comparison,
     render_run,
-    save_bench,
 )
 
 
@@ -30,36 +30,31 @@ def stat(mean, std=0.0, n=3, **kw) -> MetricStat:
     return MetricStat(mean=mean, std=std, n=n, **kw)
 
 
+def round_trip(run: BenchRun) -> BenchRun:
+    """``run`` through JSON text, as a ledgered ``metrics.json``."""
+    return BenchRun.from_json(json.loads(json.dumps(run.to_json())))
+
+
 class TestStoreRoundTrip:
-    def test_save_load_identity(self, tmp_path):
+    def test_save_load_identity(self):
         run = _run(**{
             "sim.latency_us": stat(1.5, unit="us"),
             "wall_seconds": stat(0.1, std=0.02, unit="s", gate=False),
         })
         run.targets["t"].attribution = [{"cell": "c", "total_us": 1.0,
                                          "phases_us": {"eager": 1.0}}]
-        path = tmp_path / "BENCH_1.json"
-        save_bench(str(path), run)
-        loaded = load_bench(str(path))
+        loaded = round_trip(run)
         assert loaded.repeats == 3 and loaded.seed == 7
         assert loaded.faults == "none"
         assert loaded.targets["t"].metrics == run.targets["t"].metrics
         assert loaded.targets["t"].attribution == run.targets["t"].attribution
 
-    def test_schema_header_written(self, tmp_path):
-        import json
-
-        path = tmp_path / "b.json"
-        save_bench(str(path), _run())
-        assert json.loads(path.read_text())["schema"] == BENCH_SCHEMA
+    def test_schema_header_written(self):
+        assert _run().to_json()["schema"] == BENCH_SCHEMA
 
     def test_wrong_schema_rejected(self):
         with pytest.raises(BenchDataError, match="unsupported bench schema"):
             BenchRun.from_json({"schema": "repro.bench/v0", "targets": {}})
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(BenchDataError, match="cannot read"):
-            load_bench(str(tmp_path / "nope.json"))
 
     def test_malformed_metric_rejected(self):
         with pytest.raises(BenchDataError, match="bad metric record"):
@@ -76,12 +71,10 @@ class TestStoreRoundTrip:
         with pytest.raises(BenchDataError, match="better"):
             MetricStat(mean=1.0, std=0.0, n=2, better="sideways")
 
-    def test_degraded_flag_round_trips(self, tmp_path):
+    def test_degraded_flag_round_trips(self):
         run = _run(**{"sim.x_us": stat(1.0)})
         run.targets["t"].degraded = True
-        path = tmp_path / "d.json"
-        save_bench(str(path), run)
-        assert load_bench(str(path)).targets["t"].degraded
+        assert round_trip(run).targets["t"].degraded
 
 
 class TestCompareMetric:

@@ -5,13 +5,14 @@ import pytest
 from repro.errors import TraceAnalysisError
 from repro.obs.analyze import (
     OVERHEAD_PHASE,
-    SPAN_COUNTER_MAP,
+    ReadSpan,
     attribute_cells,
     attribute_window,
-    cross_check_counters,
+    attributions_from_tracer,
     phase_of,
 )
-from repro.obs.analyze.reader import ReadSpan
+
+from .trace_reader import SPAN_COUNTER_MAP, TraceDocument, cross_check_counters
 
 
 def span(name, category, begin, end) -> ReadSpan:
@@ -171,3 +172,56 @@ class TestCrossCheck:
         counters = set(SPAN_COUNTER_MAP.values())
         assert {"mpisim.send.eager", "netsim.link.reserved",
                 "gpurt.kernel.launched", "gpurt.dma.issued"} <= counters
+
+
+class TestAttribution:
+    """Attribution of live traced runs, as the ledger records it."""
+
+    @staticmethod
+    def _traced(*runs):
+        from repro.obs import ObsContext, runtime
+
+        ctx = ObsContext.create()
+        with runtime.observability(ctx):
+            for run in runs:
+                run()
+        return ctx
+
+    @staticmethod
+    def _pingpong():
+        from repro.benchmarks.osu.latency import measure_pingpong
+        from repro.machines.registry import get_machine
+        from repro.mpisim.placement import on_socket_pair
+        from repro.mpisim.transport import BufferKind
+
+        machine = get_machine("sawtooth")
+        measure_pingpong(machine, on_socket_pair(machine), 0, BufferKind.HOST)
+
+    @staticmethod
+    def _memcpy():
+        from repro.benchmarks.commscope.memcpy_tests import (
+            memcpy_pinned_to_gpu,
+        )
+        from repro.machines.registry import get_machine
+
+        memcpy_pinned_to_gpu(get_machine("frontier"), 128)
+
+    def test_phases_sum_within_one_percent_of_window(self):
+        ctx = self._traced(self._pingpong, self._memcpy)
+        attributions = attributions_from_tracer(ctx.tracer)
+        assert {"osu.pingpong", "cs.memcpy"} <= {a.cell for a in attributions}
+        for attribution in attributions:
+            assert attribution.total > 0
+            drift = abs(sum(attribution.phases.values()) - attribution.total)
+            assert drift <= 0.01 * attribution.total
+
+    def test_cross_check_clean_on_fault_free_run(self):
+        from repro.obs import chrome_trace, metrics_snapshot
+
+        ctx = self._traced(self._pingpong)
+        doc = TraceDocument.from_dict(chrome_trace(ctx.tracer))
+        assert doc.span_names().get("send.eager")
+        snapshot = metrics_snapshot(ctx.metrics)["instruments"]
+        assert cross_check_counters(
+            doc.span_names(), snapshot, dropped=doc.dropped
+        ) == []

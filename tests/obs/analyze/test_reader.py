@@ -12,7 +12,8 @@ import pytest
 from repro.errors import TraceAnalysisError
 from repro.harness.cli import main
 from repro.obs import ObsContext, chrome_trace, runtime as obs
-from repro.obs.analyze import TraceDocument
+
+from .trace_reader import TraceDocument
 
 FAST = ["--runs", "2"]
 

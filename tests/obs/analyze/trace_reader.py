@@ -1,13 +1,13 @@
-"""Read Chrome ``trace_event`` JSON back into typed spans.
+"""Chrome ``trace_event`` JSON read back into typed spans, and the
+span-vs-counter cross-check — test helpers beside :mod:`.scan_oracle`.
 
-The exporters in :mod:`repro.obs.export` write traces for humans (load
-in Perfetto); this reader closes the loop for *programs*: a recorded
-trace file — or the in-memory dict :func:`repro.obs.export.chrome_trace`
-returns — parses back into :class:`ReadSpan` / :class:`ReadInstant`
-records with the original categories, timelines (simulated vs host
-wall-time) and second-denominated timestamps, so the analysis layer
-(critical-path attribution, the ``bench`` harness) can consume exactly
-the artifacts a run emits.
+:func:`repro.obs.export.chrome_trace` writes traces for humans (load
+in Perfetto); :class:`TraceDocument` parses one back — a trace file or
+the in-memory dict — into :class:`~repro.obs.analyze.ReadSpan` /
+:class:`ReadInstant` records with the original categories, timelines
+(simulated vs host wall-time) and second-denominated timestamps, so
+tests can hold the exporter to a lossless round trip and feed recorded
+traces to the attribution.
 
 Every event the exporter can write is reconstructible:
 
@@ -20,51 +20,23 @@ Every event the exporter can write is reconstructible:
 Anything structurally off — missing required keys, an unknown phase, a
 ``tid`` with no lane — raises
 :class:`~repro.errors.TraceAnalysisError` rather than silently skipping
-records: a trace the reader cannot fully account for must not feed a
-regression verdict.
+records.
+
+:func:`cross_check_counters` compares the span multiplicities of a
+trace with the counters of the same run's metrics snapshot.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
-from ...errors import TraceAnalysisError
-from ..export import PID_SIM, PID_WALL
+from repro.errors import TraceAnalysisError
+from repro.obs.analyze import ReadSpan
+from repro.obs.export import PID_SIM, PID_WALL
 
 _US = 1e-6
-
-
-@dataclass(frozen=True)
-class ReadSpan:
-    """One span read back from a trace (times in seconds)."""
-
-    name: str
-    category: str
-    #: ``"sim"`` (simulated clock) or ``"wall"`` (host, origin-relative)
-    timeline: str
-    begin: float
-    #: ``None`` for a span that was still open at export time
-    end: Optional[float]
-    args: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
-
-    @property
-    def duration(self) -> Optional[float]:
-        return None if self.end is None else self.end - self.begin
-
-    @property
-    def sim_begin(self) -> Optional[float]:
-        """Simulated begin time, mirroring ``SpanRecord`` (None on wall)."""
-        return self.begin if self.timeline == "sim" else None
-
-    @property
-    def sim_end(self) -> Optional[float]:
-        return self.end if self.timeline == "sim" else None
 
 
 @dataclass(frozen=True)
@@ -217,3 +189,54 @@ class TraceDocument:
         for span in self.spans:
             out[span.name] = out.get(span.name, 0) + 1
         return out
+
+
+#: span name (exact or ``prefix:``) -> counter that must agree with its
+#: multiplicity in a lossless trace
+SPAN_COUNTER_MAP: dict[str, str] = {
+    "send.eager": "mpisim.send.eager",
+    "send.rendezvous": "mpisim.send.rendezvous",
+    "xfer:": "netsim.link.reserved",
+    "launch:": "gpurt.kernel.launched",
+    "exec:": "gpurt.kernel.completed",
+    "dma:": "gpurt.dma.issued",
+}
+
+
+def cross_check_counters(
+    span_names: dict[str, int],
+    snapshot: dict,
+    dropped: int = 0,
+) -> list[str]:
+    """Compare span multiplicities against the metrics snapshot.
+
+    Returns human-readable findings (empty = consistent).  A trace with
+    dropped records cannot be checked exactly, so only counters the
+    trace *over*-reports are flagged then.
+    """
+    findings: list[str] = []
+    for key, counter in SPAN_COUNTER_MAP.items():
+        if key.endswith(":"):
+            observed = sum(
+                n for name, n in span_names.items() if name.startswith(key)
+            )
+        else:
+            observed = span_names.get(key, 0)
+        entry = snapshot.get(counter)
+        if entry is None:
+            if observed:
+                findings.append(
+                    f"{observed} {key!r} span(s) but counter {counter} "
+                    "is absent from the snapshot"
+                )
+            continue
+        expected = entry.get("value", 0)
+        if observed == expected:
+            continue
+        if dropped and observed < expected:
+            continue  # the ring dropped records; undercount is expected
+        findings.append(
+            f"span/counter mismatch: {observed} {key!r} span(s) vs "
+            f"{counter} = {expected}"
+        )
+    return findings

@@ -3,10 +3,11 @@
 Unit coverage of :mod:`repro.obs.ledger`: record/load round-trips, the
 ``latest``/prefix resolution rules, gc pruning, the torn-index-tail
 crash discipline, never-raise write degradation, and the shape of the
-documents the study/bench assembly helpers build.
+documents the study assembly helpers build.
 """
 
 import json
+import os
 
 import pytest
 
@@ -186,6 +187,30 @@ class TestGc:
     def test_negative_keep_raises(self, tmp_path):
         with pytest.raises(LedgerError, match="keep count"):
             RunLedger(tmp_path).gc(keep=-1)
+
+    def test_failed_index_rewrite_deletes_no_run(self, tmp_path, monkeypatch):
+        # the index is rewritten before any directory goes, so a failed
+        # rewrite leaves every listed run loadable
+        ledger = RunLedger(tmp_path)
+        ids = [
+            ledger.record(
+                kind="cli", targets=["t"],
+                outcome={"outcome": "ok", "started": float(i)},
+            ).run_id
+            for i in range(3)
+        ]
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(LedgerError, match="cannot rewrite"):
+            ledger.gc(keep=1)
+        monkeypatch.undo()
+        records, _ = ledger.read_index()
+        assert [r["run_id"] for r in records] == ids
+        for run_id in ids:
+            assert (tmp_path / run_id / "outcome.json").exists()
 
 
 class TestDocumentAssembly:

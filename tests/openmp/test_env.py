@@ -12,13 +12,17 @@ from repro.openmp.env import (
 
 
 class TestTable1:
-    def test_eight_rows(self, sawtooth):
-        assert len(table1_configurations(sawtooth.node)) == 8
+    def test_eight_rows(self, cpu_machines_list):
+        for machine in cpu_machines_list:
+            assert len(table1_configurations(machine.node)) == 8
 
     def test_single_thread_rows(self, sawtooth):
         singles = single_thread_configurations(sawtooth.node)
         assert len(singles) == 2
         assert all(c.num_threads == 1 for c in singles)
+        assert {c.describe() for c in singles} == {
+            ("1", "not set", "not set"), ("1", '"true"', "not set"),
+        }
 
     def test_all_thread_rows(self, sawtooth):
         alls = all_thread_configurations(sawtooth.node)
