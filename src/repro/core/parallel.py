@@ -225,8 +225,8 @@ def execute_cell(
     )
     if ordinal and config.faults is not None:
         _apply_worker_chaos(config.faults, ordinal, attempt)
-    # the scheduler/supervisor own this cell's telemetry (start/done
-    # events, progress); the null session here keeps Study._compute —
+    # the scheduler/supervisor own this cell's telemetry (its start/done
+    # events); the null session here keeps Study._compute —
     # and a forked worker, which inherits the parent's live session
     # *and* its open event-log fd — from emitting them a second time
     with live.telemetry(live.NULL_TELEMETRY), obs.observability(ctx):

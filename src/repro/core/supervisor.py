@@ -378,9 +378,6 @@ class CellSupervisor:
                 return
             self.stats.retried += 1
             obs.count("supervisor.cell.retried")
-            live.current().cell_retry(
-                "/".join(task.label()), attempt=attempts[ordinal]
-            )
             self._backoff(attempts[ordinal])
             failures = self._run_batch(
                 [(ordinal, task)], 1, obs_enabled, profile, spool,

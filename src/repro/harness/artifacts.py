@@ -143,18 +143,17 @@ def build_artifacts(study: Study | None = None, curves: bool = True) -> Artifact
 
     session = live.current()
     if session.enabled:
-        # a live-telemetry run ships its provenance record; un-flagged
-        # runs keep the bundle byte-identical to pre-telemetry builds
+        # an --events-out run ships its provenance record; other runs
+        # keep the bundle byte-identical to pre-telemetry builds
         from ..obs.manifest import build_manifest, render_manifest
 
-        events = session.events
         bundle.add(
             "manifest.json",
             render_manifest(build_manifest(
                 study,
-                targets=session.aggregator.targets,
-                events_path=str(events.path) if events is not None else None,
-                started=session.aggregator.started,
+                targets=session.targets,
+                events_path=str(session.events.path),
+                started=session.started,
             )),
         )
     return bundle

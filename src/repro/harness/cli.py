@@ -16,10 +16,7 @@ Usage::
     python -m repro table4 --jobs 4      # parallel cells, identical bytes
     python -m repro table4 --jobs 4 --cell-timeout 120   # kill+retry slow cells
     python -m repro all --resume study.cells   # rerun replays finished cells
-    python -m repro all --jobs 4 --progress   # live cells-done/ETA ticker
     python -m repro all --events-out events.jsonl   # structured run log
-    python -m repro all --status-port 0   # live /metrics /progress /healthz
-    python -m repro all --progress=force   # ETA ticker even when piped (CI)
     python -m repro runs list            # ledgered run history
     python -m repro runs diff latest abc123   # Welch-tested cross-run diff
     python -m repro runs flame latest --cell table6   # attribution icicle
@@ -40,11 +37,10 @@ and the same exit status 3.
 for the run: spans, counters and the event-loop profiler flow to the
 named files and to a stderr digest.  Without those flags the null
 observability context is active and stdout is byte-identical to a build
-without the subsystem.  ``--events-out``/``--status-port``/``--progress``
-arm *live* telemetry the same way (DESIGN.md §5h): a structured JSONL
-event log, a loopback status server and a stderr progress ticker, all
-byte-neutral to stdout and the artifact tables.  ``--quiet`` silences
-every stderr report (resilience, profile, file notices, the ticker)
+without the subsystem.  ``--events-out`` arms run telemetry the same
+way (DESIGN.md §5h): a structured JSONL event log of every cell's
+lifecycle, byte-neutral to stdout and the artifact tables.  ``--quiet``
+silences every stderr report (resilience, profile, file notices)
 without touching stdout.
 
 Every run additionally records itself into the persistent *run ledger*
@@ -59,7 +55,6 @@ stderr warning on failure, so it is byte-neutral by construction.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -363,20 +358,6 @@ def main(argv: list[str] | None = None) -> int:
              "repro.events/v1; stdout is unchanged",
     )
     parser.add_argument(
-        "--status-port", type=int, default=None, metavar="PORT",
-        help="serve /metrics (OpenMetrics), /progress (JSON) and /healthz "
-             "on 127.0.0.1:PORT for the duration of the run (0 = pick an "
-             "ephemeral port, printed to stderr); stdout is unchanged",
-    )
-    parser.add_argument(
-        "--progress", nargs="?", const="auto", default=None,
-        choices=("auto", "force"), metavar="MODE",
-        help="tick a one-line cells-done/ETA progress report on stderr "
-             "(TTY only, at most once per second); --progress=force (or "
-             "REPRO_FORCE_PROGRESS=1) ticks even when stderr is piped; "
-             "stdout is unchanged",
-    )
-    parser.add_argument(
         "--quiet", action="store_true",
         help="suppress all stderr reports (resilience, profile, file "
              "notices); stdout is unchanged",
@@ -391,11 +372,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run-ledger root (default: $REPRO_LEDGER_DIR or .repro/runs)",
     )
     args = parser.parse_args(argv)
-    if args.status_port is not None and not 0 <= args.status_port <= 65535:
-        parser.error(
-            f"--status-port must be 0-65535 (0 = ephemeral), "
-            f"got {args.status_port}"
-        )
 
     from ..errors import ReproError
     from ..faults import get_profile
@@ -429,47 +405,16 @@ def main(argv: list[str] | None = None) -> int:
     obs_wanted = bool(args.trace_out or args.metrics_out or args.profile)
     ctx = ObsContext.create(profile=args.profile) if obs_wanted else NULL_CONTEXT
 
-    # live telemetry is opt-in exactly like observability: with none of
-    # the three flags armed the shared null session is active and the
-    # run's stdout/artifacts are byte-identical (DESIGN.md 5h)
-    force_progress = (
-        args.progress == "force"
-        or os.environ.get("REPRO_FORCE_PROGRESS", "") not in ("", "0")
-    )
-    progress_wanted = args.progress is not None or force_progress
-    tel_wanted = bool(
-        args.events_out or args.status_port is not None or progress_wanted
-    )
+    # run telemetry is opt-in exactly like observability: without
+    # --events-out the shared null session is active and the run's
+    # stdout/artifacts are byte-identical (DESIGN.md 5h)
     session = live.NULL_TELEMETRY
-    status_server = None
-    if tel_wanted:
+    if args.events_out:
         from ..core.parallel import resolve_jobs
         from ..obs.events import EventLog
 
-        session = live.RunTelemetry(
-            events=EventLog(args.events_out) if args.events_out else None,
-            progress=(
-                live.ProgressReporter(None, force=force_progress)
-                if progress_wanted and not args.quiet else None
-            ),
-        )
-        session.aggregator.profiler_supplier = (
-            lambda: obs_runtime.current().profiler
-        )
+        session = live.RunTelemetry(EventLog(args.events_out))
         session.run_start(targets, resolve_jobs(args.jobs), args.seed)
-        if args.status_port is not None:
-            from .status_server import StatusServer
-
-            status_server = StatusServer(
-                session.aggregator,
-                registry_supplier=lambda: obs_runtime.current().metrics,
-                port=args.status_port,
-            ).start()
-            _stderr_report(
-                f"status server on http://127.0.0.1:{status_server.port}/ "
-                f"(/metrics /progress /healthz)",
-                args.quiet,
-            )
 
     text = ""
     wrote_bundle = False
@@ -503,11 +448,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         # every exit path — clean end, a raising cell, Ctrl-C — seals
         # the event stream (run_end is idempotent and records *how* the
-        # run ended), releases the status port, closes the log, and
-        # records the run in the ledger
+        # run ended), closes the log, and records the run in the ledger
         session.run_end(outcome=run_outcome)
-        if status_server is not None:
-            status_server.stop()
         session.close()
         if args.ledger_record:
             from ..obs.ledger import record_study_run
@@ -531,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"{entry.directory}",
                     args.quiet,
                 )
-    if args.events_out and session.events is not None:
+    if args.events_out:
         stats = session.events.stats()
         _stderr_report(
             f"wrote {stats['path']} ({stats['emitted']} event(s)"

@@ -17,12 +17,10 @@ an :class:`ObsContext` for ``--trace-out`` / ``--metrics-out`` /
 With no context active, every instrument is a shared no-op and the run
 stays byte-identical to an uninstrumented build.
 
-Live *run* telemetry (DESIGN.md §5h) is the sibling activation chain in
-:mod:`repro.obs.live`: ``--events-out`` / ``--status-port`` /
-``--progress`` build a :class:`RunTelemetry` session feeding the
-structured event log (:mod:`repro.obs.events`), the ``/metrics`` /
-``/progress`` status server (via :mod:`repro.obs.openmetrics`) and the
-stderr progress ticker; the run manifest (:mod:`repro.obs.manifest`)
+*Run* telemetry (DESIGN.md §5h) is the sibling activation chain in
+:mod:`repro.obs.live`: ``--events-out`` builds a :class:`RunTelemetry`
+session that records each cell's lifecycle in the structured event log
+(:mod:`repro.obs.events`); the run manifest (:mod:`repro.obs.manifest`)
 records the session's provenance in the artifact bundle.  The two
 chains are deliberately independent — telemetry never re-keys the cell
 cache and never touches stdout.
@@ -59,13 +57,7 @@ from .ledger import (
     study_metrics_doc,
     study_outcome_doc,
 )
-from .live import (
-    NULL_TELEMETRY,
-    LiveAggregator,
-    NullRunTelemetry,
-    ProgressReporter,
-    RunTelemetry,
-)
+from .live import NULL_TELEMETRY, NullRunTelemetry, RunTelemetry
 from .manifest import (
     MANIFEST_SCHEMA,
     build_manifest,
@@ -82,7 +74,6 @@ from .metrics import (
     NULL_METRICS,
     NullMetrics,
 )
-from .openmetrics import render_openmetrics
 from .profiler import ProfileReport, SimProfiler, SubsystemStats
 from .runtime import (
     NULL_CONTEXT,
@@ -138,12 +129,9 @@ __all__ = [
     "EVENT_KINDS",
     "read_events",
     "check_invariants",
-    "LiveAggregator",
-    "ProgressReporter",
     "RunTelemetry",
     "NullRunTelemetry",
     "NULL_TELEMETRY",
-    "render_openmetrics",
     "MANIFEST_SCHEMA",
     "config_fingerprint",
     "build_manifest",

@@ -70,9 +70,9 @@ class EventLog:
 
     Opens lazily on first emit; an unwritable path warns once and
     degrades to a dropped-event counter instead of raising — telemetry
-    must never take a run down.  Appends are serialized under a lock so
-    the status-server thread (or any future emitter off the main
-    thread) cannot interleave lines.
+    must never take a run down.  Appends are serialized under a lock:
+    the run's notifiers emit from its main thread, and the lock keeps
+    an emit from any other thread from interleaving lines.
     """
 
     def __init__(self, path: str | Path) -> None:

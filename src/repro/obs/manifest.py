@@ -20,7 +20,7 @@ module writes that record.  A manifest names everything needed to audit
   to cross-check which persisted state the run consumed.
 
 The manifest is telemetry-adjacent: it lands in the artifact bundle
-only when a live-telemetry session is active, so an un-flagged
+only when ``--events-out`` arms a telemetry session, so any other
 ``artifacts`` run stays byte-identical to pre-telemetry builds.
 """
 

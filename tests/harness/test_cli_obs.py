@@ -171,12 +171,10 @@ class TestArtifactsMerge:
 class TestTelemetryByteIdentity:
     """DESIGN.md §5h: run telemetry must never perturb stdout."""
 
-    TELEMETRY = ["--progress"]
-
     def test_events_flag_leaves_stdout_identical(self, capsys, tmp_path):
         code_a, base = _stdout(capsys, ["table4", "table6"] + FAST)
         code_b, flagged = _stdout(capsys, [
-            "table4", "table6", *FAST, "--progress",
+            "table4", "table6", *FAST,
             "--events-out", str(tmp_path / "ev.jsonl"),
         ])
         assert code_a == code_b == 0
@@ -187,9 +185,8 @@ class TestTelemetryByteIdentity:
                                                          tmp_path):
         code_a, base = _stdout(capsys, ["table4", "table6"] + FAST)
         code_b, flagged = _stdout(capsys, [
-            "table4", "table6", *FAST, "--jobs", "4", "--progress",
+            "table4", "table6", *FAST, "--jobs", "4",
             "--events-out", str(tmp_path / "ev.jsonl"),
-            "--status-port", "0",
         ])
         assert code_a == code_b == 0
         assert flagged == base
@@ -249,12 +246,16 @@ class TestEventsOut:
         assert capsys.readouterr().err == ""
         assert (tmp_path / "ev.jsonl").exists()
 
-    @pytest.mark.parametrize("port", ("-1", "70000"))
-    def test_out_of_range_status_port_is_a_usage_error(self, capsys, port):
+    @pytest.mark.parametrize(
+        "flag", ("--progress", "--progress=force", "--status-port 0")
+    )
+    def test_removed_live_flags_are_usage_errors(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
-            main(["table4", *FAST, "--status-port", port])
+            main(["table4", *FAST, *flag.split()])
         assert excinfo.value.code == 2
-        assert "--status-port" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
 
 @pytest.mark.live
@@ -281,4 +282,15 @@ class TestManifestInArtifacts:
         assert main(["table4", "artifacts", *FAST,
                      "--output", str(out)]) == 0
         capsys.readouterr()
+        assert not (out / "manifest.json").exists()
+
+    def test_force_progress_variable_arms_nothing(self, tmp_path, capsys,
+                                                  monkeypatch):
+        argv = ["table4", "artifacts", *FAST, "--no-ledger", "--output"]
+        assert main([*argv, str(tmp_path / "plain")]) == 0
+        plain = capsys.readouterr().err
+        monkeypatch.setenv("REPRO_FORCE_PROGRESS", "1")
+        out = tmp_path / "forced"
+        assert main([*argv, str(out)]) == 0
+        assert capsys.readouterr().err == plain
         assert not (out / "manifest.json").exists()
