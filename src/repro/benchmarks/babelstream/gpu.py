@@ -45,8 +45,14 @@ def run_gpu_stream(
     rng: np.random.Generator | None = None,
     noise: NoiseModel = NOISE_BANDWIDTH,
     validate: bool = True,
+    injector=None,
+    max_events: int | None = None,
 ) -> GpuStreamRun:
-    """Execute one device BabelStream run (all five kernels, timed)."""
+    """Execute one device BabelStream run (all five kernels, timed).
+
+    ``injector`` arms GPU fault injection (kernel downclock) and
+    ``max_events`` the simulation watchdog.
+    """
     if not machine.node.has_gpus:
         raise BenchmarkConfigError(f"{machine.name} has no accelerators")
     if array_bytes < 16:
@@ -64,7 +70,7 @@ def run_gpu_stream(
         if not arrays.check_solution(repetitions=1):
             raise BenchmarkConfigError("BabelStream validation failed")
 
-    rt = DeviceRuntime(machine)
+    rt = DeviceRuntime(machine, injector=injector)
     jitter = 1.0 if rng is None else noise.sample(rng, 1.0)
     durations: dict[str, float] = {}
 
@@ -76,7 +82,7 @@ def run_gpu_stream(
             yield from rt.device_synchronize(device)
             durations[kernel.name] = rt.env.now - t0
 
-    rt.run(host())
+    rt.run(host(), max_events=max_events)
 
     reported = {}
     for kernel in ALL_KERNELS:

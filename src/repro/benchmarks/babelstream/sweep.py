@@ -113,8 +113,14 @@ def best_gpu_bandwidth(
     runs: int = 100,
     streams: RandomStreams | None = None,
     deterministic: bool = False,
+    injector=None,
+    max_events: int | None = None,
 ) -> BestResult:
-    """Best device bandwidth over the five operations at the 1 GB size."""
+    """Best device bandwidth over the five operations at the 1 GB size.
+
+    ``injector`` and ``max_events`` reach every run's simulation (see
+    :func:`~repro.benchmarks.babelstream.gpu.run_gpu_stream`).
+    """
     if runs < 1:
         raise BenchmarkConfigError(f"runs must be >= 1: {runs}")
     streams = streams or RandomStreams()
@@ -127,6 +133,7 @@ def best_gpu_bandwidth(
             machine, array_bytes, device=device,
             rng=None if deterministic else rng,
             validate=(_run == 0),
+            injector=injector, max_events=max_events,
         )
         for op, bw in result.reported.items():
             per_op.setdefault(op, []).append(bw)

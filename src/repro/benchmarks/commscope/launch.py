@@ -26,11 +26,13 @@ def launch_latency(
     device: int = 0,
     rng: np.random.Generator | None = None,
     noise: NoiseModel = NOISE_LAUNCH,
+    injector=None,
+    max_events: int | None = None,
 ) -> float:
     """One binary execution's launch-latency figure, seconds."""
     if not machine.node.has_gpus:
         raise BenchmarkConfigError(f"{machine.name} has no accelerators")
-    rt = DeviceRuntime(machine)
+    rt = DeviceRuntime(machine, injector=injector)
 
     def host():
         # warm the queue, then time a probe batch of launches only
@@ -43,6 +45,6 @@ def launch_latency(
         yield from rt.device_synchronize(device)
         return per_launch
 
-    base = rt.run(host())
+    base = rt.run(host(), max_events=max_events)
     _ctrl, per_iter = run_adaptive(base, IterationController())
     return per_iter if rng is None else noise.sample(rng, per_iter)

@@ -42,7 +42,7 @@ class MemcpyMeasurement:
 
 
 def _timed_copy(rt: DeviceRuntime, dst: Buffer, src: Buffer, nbytes: int,
-                sync_device: int) -> float:
+                sync_device: int, max_events: int | None) -> float:
     def host():
         t0 = rt.env.now
         yield from rt.memcpy_async(dst, src, nbytes)
@@ -53,7 +53,7 @@ def _timed_copy(rt: DeviceRuntime, dst: Buffer, src: Buffer, nbytes: int,
         )
         return rt.env.now - t0
 
-    return rt.run(host())
+    return rt.run(host(), max_events=max_events)
 
 
 def memcpy_pinned_to_gpu(
@@ -62,12 +62,19 @@ def memcpy_pinned_to_gpu(
     device: int = 0,
     rng: np.random.Generator | None = None,
     noise: NoiseModel | None = None,
+    injector=None,
+    max_events: int | None = None,
 ) -> MemcpyMeasurement:
-    """``Comm_cudaMemcpyAsync_PinnedToGPU`` (H2D, pinned source)."""
-    rt = DeviceRuntime(machine)
+    """``Comm_cudaMemcpyAsync_PinnedToGPU`` (H2D, pinned source).
+
+    ``injector`` arms GPU fault injection (DMA stalls) and
+    ``max_events`` the simulation watchdog, here and in the other tests
+    of this module.
+    """
+    rt = DeviceRuntime(machine, injector=injector)
     src = rt.alloc_host(nbytes, pinned=True)
     dst = rt.alloc_device(device, nbytes)
-    seconds = _timed_copy(rt, dst, src, nbytes, device)
+    seconds = _timed_copy(rt, dst, src, nbytes, device, max_events)
     seconds = _jitter(seconds, nbytes, rng, noise)
     return MemcpyMeasurement(machine.name, "PinnedToGPU", nbytes, seconds)
 
@@ -78,12 +85,14 @@ def memcpy_gpu_to_pinned(
     device: int = 0,
     rng: np.random.Generator | None = None,
     noise: NoiseModel | None = None,
+    injector=None,
+    max_events: int | None = None,
 ) -> MemcpyMeasurement:
     """``Comm_cudaMemcpyAsync_GPUToPinned`` (D2H, pinned destination)."""
-    rt = DeviceRuntime(machine)
+    rt = DeviceRuntime(machine, injector=injector)
     src = rt.alloc_device(device, nbytes)
     dst = rt.alloc_host(nbytes, pinned=True)
-    seconds = _timed_copy(rt, dst, src, nbytes, device)
+    seconds = _timed_copy(rt, dst, src, nbytes, device, max_events)
     seconds = _jitter(seconds, nbytes, rng, noise)
     return MemcpyMeasurement(machine.name, "GPUToPinned", nbytes, seconds)
 
@@ -95,14 +104,16 @@ def memcpy_d2d(
     nbytes: int,
     rng: np.random.Generator | None = None,
     noise: NoiseModel | None = None,
+    injector=None,
+    max_events: int | None = None,
 ) -> MemcpyMeasurement:
     """``Comm_cudaMemcpyAsync_GPUToGPU`` between two devices."""
     if src_device == dst_device:
         raise BenchmarkConfigError("GPUToGPU needs two distinct devices")
-    rt = DeviceRuntime(machine)
+    rt = DeviceRuntime(machine, injector=injector)
     src = rt.alloc_device(src_device, nbytes)
     dst = rt.alloc_device(dst_device, nbytes)
-    seconds = _timed_copy(rt, dst, src, nbytes, src_device)
+    seconds = _timed_copy(rt, dst, src, nbytes, src_device, max_events)
     seconds = _jitter(seconds, nbytes, rng, noise)
     return MemcpyMeasurement(
         machine.name, f"GPUToGPU[{src_device}->{dst_device}]", nbytes, seconds
@@ -114,13 +125,16 @@ def d2d_by_class(
     nbytes: int = LATENCY_BYTES,
     rng: np.random.Generator | None = None,
     noise: NoiseModel | None = None,
+    injector=None,
+    max_events: int | None = None,
 ) -> dict[LinkClass, MemcpyMeasurement]:
     """One representative GPUToGPU measurement per topology link class."""
     names = machine.node.gpu_names()
     out: dict[LinkClass, MemcpyMeasurement] = {}
     for cls, (a, b) in machine.node.topology.representative_pairs().items():
         out[cls] = memcpy_d2d(
-            machine, names.index(a), names.index(b), nbytes, rng, noise
+            machine, names.index(a), names.index(b), nbytes, rng, noise,
+            injector=injector, max_events=max_events,
         )
     return out
 

@@ -55,25 +55,32 @@ def run_commscope(
     machine: Machine,
     device: int = 0,
     rng: np.random.Generator | None = None,
+    injector=None,
+    max_events: int | None = None,
 ) -> CommScopeResults:
-    """Execute the whole Comm|Scope suite once on ``machine``."""
+    """Execute the whole Comm|Scope suite once on ``machine``.
+
+    ``injector`` arms GPU fault injection (kernel downclock, DMA
+    stalls) and ``max_events`` the watchdog of every test's simulation.
+    """
     if not machine.node.has_gpus:
         raise BenchmarkConfigError(f"{machine.name} has no accelerators")
+    sim = {"injector": injector, "max_events": max_events}
 
-    launch = launch_latency(machine, device, rng)
-    wait = sync_latency(machine, device, rng)
+    launch = launch_latency(machine, device, rng, **sim)
+    wait = sync_latency(machine, device, rng, **sim)
 
-    h2d_lat = memcpy_pinned_to_gpu(machine, LATENCY_BYTES, device, rng)
-    d2h_lat = memcpy_gpu_to_pinned(machine, LATENCY_BYTES, device, rng)
+    h2d_lat = memcpy_pinned_to_gpu(machine, LATENCY_BYTES, device, rng, **sim)
+    d2h_lat = memcpy_gpu_to_pinned(machine, LATENCY_BYTES, device, rng, **sim)
     hd_latency = (h2d_lat.seconds + d2h_lat.seconds) / 2
 
-    h2d_bw = memcpy_pinned_to_gpu(machine, BANDWIDTH_BYTES, device, rng)
-    d2h_bw = memcpy_gpu_to_pinned(machine, BANDWIDTH_BYTES, device, rng)
+    h2d_bw = memcpy_pinned_to_gpu(machine, BANDWIDTH_BYTES, device, rng, **sim)
+    d2h_bw = memcpy_gpu_to_pinned(machine, BANDWIDTH_BYTES, device, rng, **sim)
     hd_bandwidth = (h2d_bw.bandwidth + d2h_bw.bandwidth) / 2
 
     d2d = {
         cls: m.seconds
-        for cls, m in d2d_by_class(machine, LATENCY_BYTES, rng).items()
+        for cls, m in d2d_by_class(machine, LATENCY_BYTES, rng, **sim).items()
     }
 
     return CommScopeResults(

@@ -22,11 +22,13 @@ def sync_latency(
     device: int = 0,
     rng: np.random.Generator | None = None,
     noise: NoiseModel = NOISE_LAUNCH,
+    injector=None,
+    max_events: int | None = None,
 ) -> float:
     """One binary execution's empty-queue wait figure, seconds."""
     if not machine.node.has_gpus:
         raise BenchmarkConfigError(f"{machine.name} has no accelerators")
-    rt = DeviceRuntime(machine)
+    rt = DeviceRuntime(machine, injector=injector)
 
     def host():
         yield from rt.device_synchronize(device)  # warm
@@ -35,6 +37,6 @@ def sync_latency(
             yield from rt.device_synchronize(device)
         return (rt.env.now - t0) / PROBE_BATCH
 
-    base = rt.run(host())
+    base = rt.run(host(), max_events=max_events)
     _ctrl, per_iter = run_adaptive(base, IterationController())
     return per_iter if rng is None else noise.sample(rng, per_iter)

@@ -57,9 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .parallel import CellOutcome, CellTask
     from .study import StudyConfig
 
-#: bump on any payload-layout or key-derivation change: every entry
-#: written under another schema is hard-invalidated on first touch
-CACHE_SCHEMA = 1
+#: bump on any payload-layout or key-derivation change, or when a
+#: cell's result under an unchanged key changes: every entry written
+#: under another schema is hard-invalidated on first touch
+CACHE_SCHEMA = 2
 
 #: StudyConfig knobs that steer *how* cells execute, not what they
 #: compute — byte-neutral by the determinism contract, so excluded

@@ -439,15 +439,18 @@ class Study:
 
     def _gpu_bandwidth(self, machine: Machine) -> Statistic:
         size = self.config.gpu_array_bytes or default_gpu_size()
+        budget = self.config.cell_max_events
         if self.config.exact:
             best = best_gpu_bandwidth(
                 machine, array_bytes=size, runs=self.config.runs,
                 streams=self.streams,
+                injector=self._sim_injector(machine.name, "babelstream-gpu"),
+                max_events=budget,
             )
             return Statistic.from_samples(best.samples)
         best = best_gpu_bandwidth(
             machine, array_bytes=size, runs=1,
-            streams=RandomStreams(0), deterministic=True,
+            streams=RandomStreams(0), deterministic=True, max_events=budget,
         )
         return Statistic.from_samples(
             self._samples(float(best.samples[0]), NOISE_BANDWIDTH,
@@ -531,13 +534,18 @@ class Study:
         )
 
     def _commscope(self, machine: Machine) -> CommScopeStats:
+        budget = self.config.cell_max_events
         if self.config.exact:
             rng = self.streams.get(machine.name, "commscope")
+            injector = self._sim_injector(machine.name, "cs")
             results = [
-                run_commscope(machine, rng=rng) for _ in range(self.config.runs)
+                run_commscope(
+                    machine, rng=rng, injector=injector, max_events=budget,
+                )
+                for _ in range(self.config.runs)
             ]
             return self._aggregate_commscope(results)
-        base = run_commscope(machine)
+        base = run_commscope(machine, max_events=budget)
         name = machine.name
 
         def stat(value: float, noise: NoiseModel, *path: str,

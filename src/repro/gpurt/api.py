@@ -119,9 +119,6 @@ class DeviceRuntime:
         # default, as every benchmark in the study runs with it on;
         # disable_peer_access exposes the staged-through-host behaviour
         self._peer_disabled: set[tuple[int, int]] = set()
-        # memoized copy plans: the plan depends only on the (frozen)
-        # buffer endpoints and peer state, not on the transfer size
-        self._plan_cache: dict = {}
 
     # ------------------------------------------------------------------
     # peer access
@@ -215,13 +212,10 @@ class DeviceRuntime:
         if isinstance(src, DeviceBuffer) and isinstance(dst, DeviceBuffer):
             if src.device != dst.device:
                 peer = self.peer_access_enabled(src.device, dst.device)
-        plan_key = (src, dst, require_pinned, peer)
-        plan = self._plan_cache.get(plan_key)
-        if plan is None:
-            plan = self._plan_cache[plan_key] = plan_copy(
-                self.machine, src, dst,
-                require_pinned=require_pinned, peer_enabled=peer,
-            )
+        plan = plan_copy(
+            self.machine, src, dst,
+            require_pinned=require_pinned, peer_enabled=peer,
+        )
         device_idx = self._copy_owner(src, dst)
         dev = self._device(device_idx)
         stream = stream or dev.default_stream
@@ -273,7 +267,14 @@ class DeviceRuntime:
     # ------------------------------------------------------------------
     # driving
     # ------------------------------------------------------------------
-    def run(self, host_code: Generator, name: str = "host"):
-        """Run a host-code generator to completion, returning its value."""
+    def run(
+        self, host_code: Generator, name: str = "host",
+        max_events: Optional[int] = None,
+    ):
+        """Run a host-code generator to completion, returning its value.
+
+        ``max_events`` arms the simulation watchdog (see
+        :meth:`~repro.sim.engine.Environment.run`).
+        """
         proc = self.env.process(host_code, name=name)
-        return self.env.run(until=proc)
+        return self.env.run(until=proc, max_events=max_events)

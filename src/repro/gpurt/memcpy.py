@@ -93,12 +93,36 @@ def plan_copy(
     machine: Machine, src: Buffer, dst: Buffer, *, require_pinned: bool = True,
     peer_enabled: bool = True,
 ) -> CopyPlan:
-    """Build the :class:`CopyPlan` for ``src`` -> ``dst`` on ``machine``.
+    """The :class:`CopyPlan` for ``src`` -> ``dst`` on ``machine``.
 
     ``peer_enabled`` mirrors cudaDeviceEnablePeerAccess state for D2D
     copies: without it the driver stages through host memory, paying
     two host-link transfers instead of the direct fabric path.
+
+    A plan never depends on the transfer size, so ``machine`` keeps one
+    (frozen) plan per pair of endpoints, pinned rule and peer state.
     """
+    key = (_endpoint(src), _endpoint(dst), require_pinned, peer_enabled)
+    plan = machine._copy_plans.get(key)
+    if plan is None:
+        plan = machine._copy_plans[key] = _build_plan(
+            machine, src, dst, require_pinned, peer_enabled
+        )
+    return plan
+
+
+def _endpoint(buffer: Buffer):
+    """What a plan reads of a buffer: its device index, or the host
+    pages' pinned flag and NUMA node."""
+    if isinstance(buffer, DeviceBuffer):
+        return buffer.device
+    return (buffer.pinned, buffer.numa_node)
+
+
+def _build_plan(
+    machine: Machine, src: Buffer, dst: Buffer, require_pinned: bool,
+    peer_enabled: bool,
+) -> CopyPlan:
     cal = machine.calibration.gpu_runtime
     if cal is None:
         raise GpuRuntimeError(f"{machine.name} has no GPU runtime calibration")

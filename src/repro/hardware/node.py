@@ -65,6 +65,9 @@ class NodeSpec:
         self._total_cores = cpu.cores * self._n_sockets
         self._total_hardware_threads = self._total_cores * cpu.smt
         self._hwthreads: list[HardwareThread] | None = None
+        #: repro.openmp.team.build_team's resolved team per
+        #: OmpEnvironment; a team depends on the CPU geometry alone
+        self._teams: dict = {}
 
     # ------------------------------------------------------------------
     # CPU geometry

@@ -72,8 +72,16 @@ class Topology:
         #: it decides between equal-latency routes
         self._adj: dict[str, dict[str, LinkInstance]] = {}
         self._components: dict[str, Component] = {}
-        #: memoized shortest routes; cleared whenever the graph mutates
+        # Static structure, memoized because a built machine's graph
+        # never changes and every simulated copy or benchmark run asked
+        # for it again: shortest routes, the device-ordered GPU list,
+        # the class of each ordered GPU pair and the grouping of all
+        # unordered pairs.  _invalidate clears them on every mutation.
         self._route_cache: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._gpus: list[str] | None = None
+        self._pair_cache: dict[tuple[str, str], PairClassification] = {}
+        self._pair_classes: dict[LinkClass, list[tuple[str, str]]] | None = None
+        self._representatives: dict[LinkClass, tuple[str, str]] | None = None
 
     def __repr__(self) -> str:
         """Content-only image (no object ids): components and links in
@@ -103,7 +111,7 @@ class Topology:
         comp = Component(name, kind, socket, attrs)
         self._components[name] = comp
         self._adj[name] = {}
-        self._route_cache.clear()
+        self._invalidate()
         return comp
 
     def connect(self, a: str, b: str, link: LinkInstance) -> None:
@@ -115,7 +123,15 @@ class Topology:
             raise TopologyError(f"duplicate link {a} <-> {b}")
         self._adj[a][b] = link
         self._adj[b][a] = link
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Drop every memo derived from the graph."""
         self._route_cache.clear()
+        self._gpus = None
+        self._pair_cache.clear()
+        self._pair_classes = None
+        self._representatives = None
 
     def _require(self, name: str) -> Component:
         try:
@@ -134,10 +150,13 @@ class Topology:
         return self._require(name)
 
     def gpus(self) -> list[str]:
-        return sorted(
-            (n for n, c in self._components.items() if c.kind == ComponentKind.GPU),
-            key=lambda n: self._components[n].attrs.get("index", 0),
-        )
+        if self._gpus is None:
+            self._gpus = sorted(
+                (n for n, c in self._components.items()
+                 if c.kind == ComponentKind.GPU),
+                key=lambda n: self._components[n].attrs.get("index", 0),
+            )
+        return list(self._gpus)
 
     def cpus(self) -> list[str]:
         return sorted(
@@ -238,6 +257,8 @@ class Topology:
     def classify_gpu_pair(self, a: str, b: str) -> PairClassification:
         """Classify a device pair into the paper's link classes.
 
+        The (frozen) result is memoized per ordered pair.
+
         Rules (matching Tables 5/6 and Appendix A):
 
         * direct NVLink of any width → **A**;
@@ -247,6 +268,12 @@ class Topology:
           the host / socket fabric);
         * PCIe-attached peer GPUs with no NVLink → **B**.
         """
+        cached = self._pair_cache.get((a, b))
+        if cached is None:
+            cached = self._pair_cache[(a, b)] = self._classify(a, b)
+        return cached
+
+    def _classify(self, a: str, b: str) -> PairClassification:
         ca, cb = self._require(a), self._require(b)
         if ca.kind != ComponentKind.GPU or cb.kind != ComponentKind.GPU:
             raise TopologyError(f"classify_gpu_pair needs two GPUs: {a}, {b}")
@@ -283,20 +310,26 @@ class Topology:
 
     def gpu_pair_classes(self) -> dict[LinkClass, list[tuple[str, str]]]:
         """All unordered GPU pairs grouped by link class."""
-        out: dict[LinkClass, list[tuple[str, str]]] = {}
-        gpus = self.gpus()
-        for i, a in enumerate(gpus):
-            for b in gpus[i + 1:]:
-                cls = self.classify_gpu_pair(a, b).link_class
-                out.setdefault(cls, []).append((a, b))
-        return out
+        if self._pair_classes is None:
+            out: dict[LinkClass, list[tuple[str, str]]] = {}
+            gpus = self.gpus()
+            for i, a in enumerate(gpus):
+                for b in gpus[i + 1:]:
+                    cls = self.classify_gpu_pair(a, b).link_class
+                    out.setdefault(cls, []).append((a, b))
+            self._pair_classes = out
+        return {cls: list(pairs) for cls, pairs in self._pair_classes.items()}
 
     def representative_pairs(self) -> dict[LinkClass, tuple[str, str]]:
         """One canonical pair per class (lowest device indices)."""
-        groups = self.gpu_pair_classes()
-        return {cls: sorted(pairs)[0] for cls, pairs in sorted(
-            groups.items(), key=lambda kv: kv[0].value
-        )}
+        if self._representatives is None:
+            groups = self.gpu_pair_classes()
+            self._representatives = {
+                cls: sorted(pairs)[0] for cls, pairs in sorted(
+                    groups.items(), key=lambda kv: kv[0].value
+                )
+            }
+        return dict(self._representatives)
 
     def host_of_gpu(self, gpu: str) -> str:
         """The CPU socket component a GPU attaches to (its home socket)."""

@@ -49,6 +49,12 @@ class Machine:
                 )
         if self.calibration.mpi is None:
             raise HardwareConfigError(f"{self.name}: needs mpi calibration")
+        # repro.gpurt.memcpy.plan_copy's plans by endpoint pair.  Plans
+        # read the calibration as well as the node, and
+        # dataclasses.replace(machine, calibration=...) shares the node,
+        # so the machine keeps them.  A plain attribute, not a field:
+        # repr, equality and fingerprints never see it.
+        object.__setattr__(self, "_copy_plans", {})
 
     @property
     def machine_class(self) -> MachineClass:

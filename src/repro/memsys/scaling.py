@@ -41,12 +41,8 @@ def team_bandwidth(
     socket_cap = cpu.memory.peak_bandwidth * cal.allcore_efficiency
 
     if team.bound:
-        cores_by_socket: dict[int, int] = {}
-        for core in team.cores_used():
-            s = node.socket_of_core(core)
-            cores_by_socket[s] = cores_by_socket.get(s, 0) + 1
         total = sum(
-            min(n * core_bw, socket_cap) for n in cores_by_socket.values()
+            min(n * core_bw, socket_cap) for _, n in team.cores_per_socket()
         )
     else:
         # Unbound: the scheduler spreads runnable threads over idle cores,

@@ -15,7 +15,9 @@ from .env import OmpEnvironment
 from .places import Place, parse_places, place_cores
 
 
-@dataclass(frozen=True)
+# slots: build_team's teams live as long as their node, and a KNL node's
+# all-thread teams hold hundreds of threads each
+@dataclass(frozen=True, slots=True)
 class BoundThread:
     """One OpenMP worker thread and where it may run."""
 
@@ -36,6 +38,36 @@ class ThreadTeam:
     env: OmpEnvironment
     threads: tuple[BoundThread, ...]
 
+    def __post_init__(self) -> None:
+        # The geometry the bandwidth model reads is fixed by the fields,
+        # and build_team serves one team per (node, environment), so it
+        # is derived once.  Plain attributes, not fields: repr, equality
+        # and the fingerprint walkers never see them.
+        node = self.node
+        bound = all(t.bound for t in self.threads)
+        cores: set[int] = set()
+        for t in self.threads:
+            if t.place is not None:
+                cores |= place_cores(t.place, node)
+        per_socket: dict[int, int] = {}
+        for core in cores:
+            s = node.socket_of_core(core)
+            per_socket[s] = per_socket.get(s, 0) + 1
+        if bound:
+            count: dict[int, int] = {}
+            for t in self.threads:
+                # A thread bound to a multi-hwthread place occupies one
+                # of its cores at a time; charge its first core.
+                core = node.hardware_thread(t.place[0]).core
+                count[core] = count.get(core, 0) + 1
+            most = max(count.values(), default=0)
+        else:
+            most = max(1, -(-len(self.threads) // max(1, node.total_cores)))
+        object.__setattr__(self, "_bound", bound)
+        object.__setattr__(self, "_cores_used", frozenset(cores))
+        object.__setattr__(self, "_cores_per_socket", tuple(per_socket.items()))
+        object.__setattr__(self, "_max_threads_per_core", most)
+
     @property
     def num_threads(self) -> int:
         return len(self.threads)
@@ -43,7 +75,7 @@ class ThreadTeam:
     @property
     def bound(self) -> bool:
         """True when every thread has a place."""
-        return all(t.bound for t in self.threads)
+        return self._bound
 
     def cores_used(self) -> set[int]:
         """Distinct cores covered by bound threads.
@@ -51,46 +83,47 @@ class ThreadTeam:
         For unbound threads the scheduler may use any core; callers
         should treat the team via :meth:`effective_core_count` instead.
         """
-        cores: set[int] = set()
-        for t in self.threads:
-            if t.place is not None:
-                cores |= place_cores(t.place, self.node)
-        return cores
+        return set(self._cores_used)
+
+    def cores_per_socket(self) -> tuple[tuple[int, int], ...]:
+        """``(socket, cores used on it)`` for the sockets bound threads
+        cover."""
+        return self._cores_per_socket
 
     def effective_core_count(self) -> int:
         """Cores that can simultaneously stream memory for this team."""
-        if self.bound:
-            return len(self.cores_used())
+        if self._bound:
+            return len(self._cores_used)
         # Unbound: the OS spreads runnable threads over idle cores.
         return min(self.num_threads, self.node.total_cores)
 
     def sockets_used(self) -> set[int]:
-        if not self.bound:
+        if not self._bound:
             return set(range(self.node.n_sockets))
-        return {self.node.socket_of_core(c) for c in self.cores_used()}
+        return {s for s, _ in self._cores_per_socket}
 
     def max_threads_per_core(self) -> int:
-        """Worst-case SMT sharing among bound threads."""
-        if not self.bound:
-            return max(
-                1,
-                -(-self.num_threads // max(1, self.node.total_cores)),
-            )
-        count: dict[int, int] = {}
-        for t in self.threads:
-            assert t.place is not None
-            # A thread bound to a multi-hwthread place occupies one of
-            # its cores at a time; charge its first core.
-            core = self.node.hardware_thread(t.place[0]).core
-            count[core] = count.get(core, 0) + 1
-        return max(count.values())
+        """Worst-case SMT sharing: among bound threads, or the OS's even
+        spread of an unbound team."""
+        return self._max_threads_per_core
 
     def smt_oversubscribed(self) -> bool:
-        return self.max_threads_per_core() > 1
+        return self._max_threads_per_core > 1
 
 
 def build_team(node: NodeSpec, env: OmpEnvironment) -> ThreadTeam:
-    """Resolve one OpenMP environment into a bound thread team."""
+    """Resolve one OpenMP environment into a bound thread team.
+
+    A team depends only on the node's CPU geometry and ``env``, so the
+    node keeps each one resolved and later calls return that object.
+    """
+    team = node._teams.get(env)
+    if team is None:
+        team = node._teams[env] = _resolve_team(node, env)
+    return team
+
+
+def _resolve_team(node: NodeSpec, env: OmpEnvironment) -> ThreadTeam:
     num_threads = env.resolve_num_threads(node)
     policy = BindPolicy.from_env(env.proc_bind)
     if policy == BindPolicy.UNBOUND:

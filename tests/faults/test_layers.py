@@ -168,3 +168,38 @@ class TestGpuFaults:
         injector = FaultInjector(FaultPlan("p", (GpuFault(1.0),)), 7)
         assert DeviceRuntime(frontier, injector=injector).injector is injector
         assert DeviceRuntime(frontier).injector is None
+
+
+# ---------------------------------------------------------------------------
+# study: GPU cells run under the cell's injector and event budget
+# ---------------------------------------------------------------------------
+
+class TestGpuCells:
+    def test_smoke_run_injects_every_kind(self, tmp_path, capsys):
+        """``smoke`` arms every fault kind; an exact run of the GPU tables
+        must inject each one its simulations can (``sample_bursts``
+        perturbs fast-mode samples only)."""
+        import json
+
+        from repro.harness.cli import main
+
+        metrics = tmp_path / "m.json"
+        main(["table5", "table6", "--exact", "--runs", "2",
+              "--faults", "smoke", "--quiet", "--metrics-out", str(metrics)])
+        capsys.readouterr()
+        instruments = json.loads(metrics.read_text())["instruments"]
+        for kind in ("drop", "straggler", "gpu_kernel", "gpu_memcpy",
+                     "nodefail"):
+            assert instruments[f"faults.injected.{kind}"]["value"] > 0, kind
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["fast", "exact"])
+    def test_event_budget_reaches_gpu_cells(self, frontier, exact):
+        from repro.core.resilience import Degraded
+        from repro.core.study import Study, StudyConfig
+
+        study = Study(StudyConfig(
+            runs=2, exact=exact, cell_max_events=5, max_retries=0,
+        ))
+        for cell in (study.gpu_bandwidth(frontier), study.commscope(frontier)):
+            assert isinstance(cell, Degraded)
+            assert "event budget of 5 exceeded" in cell.reason

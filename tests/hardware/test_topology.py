@@ -144,6 +144,57 @@ class TestClassification:
         assert "cpu0" in cls.route and "cpu1" in cls.route
 
 
+class TestMemoInvalidation:
+    """Routes, the GPU list and pair classes are memoized per topology;
+    adding a component or a link must clear every memo."""
+
+    def test_mutation_clears_memos(self):
+        topo = small_topology()
+        assert topo.gpus() == ["gpu0", "gpu1"]
+        assert topo.route("gpu0", "gpu1") == ("gpu0", "gpu1")
+        assert topo.gpu_pair_classes() == {LinkClass.A: [("gpu0", "gpu1")]}
+
+        topo.add_component(
+            "gpu2", ComponentKind.GPU, socket=0, index=2, vendor="nvidia"
+        )
+        assert topo.gpus() == ["gpu0", "gpu1", "gpu2"]
+        topo.connect("cpu0", "gpu2", link(LinkKind.PCIE4))
+        assert topo.route("gpu0", "gpu2") == ("gpu0", "cpu0", "gpu2")
+        staged = topo.classify_gpu_pair("gpu0", "gpu2")
+        assert (staged.link_class, staged.direct) == (LinkClass.B, None)
+        assert topo.gpu_pair_classes() == {
+            LinkClass.A: [("gpu0", "gpu1")],
+            LinkClass.B: [("gpu0", "gpu2"), ("gpu1", "gpu2")],
+        }
+        assert topo.representative_pairs() == {
+            LinkClass.A: ("gpu0", "gpu1"), LinkClass.B: ("gpu0", "gpu2"),
+        }
+
+        topo.connect("gpu0", "gpu2", link(LinkKind.NVLINK3, 2))
+        assert topo.route("gpu0", "gpu2") == ("gpu0", "gpu2")
+        direct = topo.classify_gpu_pair("gpu0", "gpu2")
+        assert direct.link_class == LinkClass.A
+        assert direct.route == ("gpu0", "gpu2")
+        assert topo.gpu_pair_classes() == {
+            LinkClass.A: [("gpu0", "gpu1"), ("gpu0", "gpu2")],
+            LinkClass.B: [("gpu1", "gpu2")],
+        }
+        assert topo.representative_pairs() == {
+            LinkClass.A: ("gpu0", "gpu1"), LinkClass.B: ("gpu1", "gpu2"),
+        }
+
+    def test_returned_containers_are_fresh(self):
+        topo = small_topology()
+        topo.gpus().append("gpu9")
+        assert topo.gpus() == ["gpu0", "gpu1"]
+        groups = topo.gpu_pair_classes()
+        groups[LinkClass.A].append(("gpu1", "gpu0"))
+        groups[LinkClass.B] = [("gpu0", "gpu1")]
+        assert topo.gpu_pair_classes() == {LinkClass.A: [("gpu0", "gpu1")]}
+        topo.representative_pairs().clear()
+        assert topo.representative_pairs() == {LinkClass.A: ("gpu0", "gpu1")}
+
+
 class TestPaperTopologies:
     def test_frontier_class_counts(self, frontier):
         groups = frontier.node.topology.gpu_pair_classes()
