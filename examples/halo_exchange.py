@@ -78,7 +78,7 @@ def run_stencil(machine_name, steps):
     sweep = stream_kernel(ADD, cfg.field_bytes)
     compute_seconds = (
         machine.calibration.gpu_runtime.launch_overhead
-        + sweep.duration_on(rt.devices[0])
+        + sweep.duration_on(rt.device(0))
     )
 
     breakdown = {"compute": 0.0, "halo": 0.0, "allreduce": 0.0}

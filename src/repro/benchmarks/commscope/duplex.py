@@ -42,8 +42,8 @@ def duplex_host_device(
     h_dst = rt.alloc_host(nbytes, pinned=True)
     d_a = rt.alloc_device(device, nbytes)
     d_b = rt.alloc_device(device, nbytes)
-    up_stream = rt.devices[device].create_stream()
-    down_stream = rt.devices[device].create_stream()
+    up_stream = rt.device(device).create_stream()
+    down_stream = rt.device(device).create_stream()
 
     def host():
         t0 = rt.env.now

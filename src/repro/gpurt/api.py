@@ -52,11 +52,25 @@ class Device:
         self.calibration = runtime.calibration
         self.dma_engines = Resource(self.env, capacity=DMA_ENGINES_PER_DEVICE)
         self._allocated = 0
+        #: the default stream first once built, then created streams
         self.streams: list[Stream] = []
-        self.default_stream = self.create_stream()
+        self._default_stream: Optional[Stream] = None
+        self._created = 0
+
+    @property
+    def default_stream(self) -> Stream:
+        """Stream 0, built on first use (most executions use one device
+        and only its default stream)."""
+        if self._default_stream is None:
+            self._default_stream = Stream(self, 0)
+            # device_synchronize waits for the default stream first
+            self.streams.insert(0, self._default_stream)
+        return self._default_stream
 
     def create_stream(self) -> Stream:
-        stream = Stream(self)
+        """A new stream; created streams are numbered from 1."""
+        self._created += 1
+        stream = Stream(self, self._created)
         self.streams.append(stream)
         return stream
 
@@ -114,7 +128,9 @@ class DeviceRuntime:
         self._m_dma_issued = ctx.metrics.counter("gpurt.dma.issued")
         self._m_dma_bytes = ctx.metrics.counter("gpurt.dma.bytes")
         self._m_queue_wait = ctx.metrics.histogram("gpurt.kernel.queue_wait_us")
-        self.devices = [Device(self, i) for i in range(machine.node.n_gpus)]
+        #: built on first use: a Comm|Scope or BabelStream execution
+        #: touches one device or one pair of the node's up to eight
+        self._devices: list[Optional[Device]] = [None] * machine.node.n_gpus
         # peer access state (cudaDeviceEnablePeerAccess): enabled by
         # default, as every benchmark in the study runs with it on;
         # disable_peer_access exposes the staged-through-host behaviour
@@ -125,20 +141,39 @@ class DeviceRuntime:
     # ------------------------------------------------------------------
     def disable_peer_access(self, a: int, b: int) -> None:
         """Force D2D copies between ``a`` and ``b`` to stage via host."""
-        self._device(a)
-        self._device(b)
+        self.device(a)
+        self.device(b)
         if a == b:
             raise GpuRuntimeError("peer access is between distinct devices")
         self._peer_disabled.add((min(a, b), max(a, b)))
 
     def enable_peer_access(self, a: int, b: int) -> None:
         """Re-enable direct peer copies (idempotent)."""
-        self._device(a)
-        self._device(b)
+        self.device(a)
+        self.device(b)
         self._peer_disabled.discard((min(a, b), max(a, b)))
 
     def peer_access_enabled(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) not in self._peer_disabled
+
+    # ------------------------------------------------------------------
+    # devices
+    # ------------------------------------------------------------------
+    @property
+    def devices(self) -> list[Device]:
+        """Every device of the node (building those not yet used)."""
+        return [self.device(i) for i in range(len(self._devices))]
+
+    def device(self, index: int) -> Device:
+        """Device ``index``, built on first use."""
+        if not 0 <= index < len(self._devices):
+            raise GpuRuntimeError(
+                f"device {index} out of range ({len(self._devices)} devices)"
+            )
+        dev = self._devices[index]
+        if dev is None:
+            dev = self._devices[index] = Device(self, index)
+        return dev
 
     # ------------------------------------------------------------------
     # allocation
@@ -147,18 +182,11 @@ class DeviceRuntime:
         return HostBuffer(nbytes=nbytes, pinned=pinned)
 
     def alloc_device(self, device: int, nbytes: int) -> DeviceBuffer:
-        self._device(device)._reserve(nbytes)
+        self.device(device)._reserve(nbytes)
         return DeviceBuffer(nbytes=nbytes, device=device)
 
     def free_device(self, buffer: DeviceBuffer) -> None:
-        self._device(buffer.device)._unreserve(buffer.nbytes)
-
-    def _device(self, index: int) -> Device:
-        if not 0 <= index < len(self.devices):
-            raise GpuRuntimeError(
-                f"device {index} out of range ({len(self.devices)} devices)"
-            )
-        return self.devices[index]
+        self.device(buffer.device)._unreserve(buffer.nbytes)
 
     # ------------------------------------------------------------------
     # host API (generators: `yield from` inside a host process)
@@ -172,7 +200,7 @@ class DeviceRuntime:
         This host-side cost is exactly what Comm|Scope's launch benchmark
         times.
         """
-        dev = self._device(device)
+        dev = self.device(device)
         stream = stream or dev.default_stream
         t_call = self.env.now
         yield self.env.timeout(self.calibration.launch_overhead)
@@ -208,16 +236,9 @@ class DeviceRuntime:
                 f"copy of {nbytes} bytes exceeds a buffer "
                 f"(src {src.nbytes}, dst {dst.nbytes})"
             )
-        peer = True
-        if isinstance(src, DeviceBuffer) and isinstance(dst, DeviceBuffer):
-            if src.device != dst.device:
-                peer = self.peer_access_enabled(src.device, dst.device)
-        plan = plan_copy(
-            self.machine, src, dst,
-            require_pinned=require_pinned, peer_enabled=peer,
-        )
+        plan = self.plan_for(dst, src, require_pinned)
         device_idx = self._copy_owner(src, dst)
-        dev = self._device(device_idx)
+        dev = self.device(device_idx)
         stream = stream or dev.default_stream
         self.trace.record(
             self.env.now, "dma", f"{plan.kind.value}.begin",
@@ -239,15 +260,26 @@ class DeviceRuntime:
             return dst.device
         return 0
 
-    def plan_for(self, dst: Buffer, src: Buffer) -> CopyPlan:
-        """Expose the copy cost model (used by tests and analysis)."""
-        return plan_copy(self.machine, src, dst)
+    def plan_for(
+        self, dst: Buffer, src: Buffer, require_pinned: bool = True
+    ) -> CopyPlan:
+        """The plan :meth:`memcpy_async` runs for ``src -> dst``, with
+        this runtime's peer-access state (also used by tests and
+        analysis to cost a copy)."""
+        peer = True
+        if isinstance(src, DeviceBuffer) and isinstance(dst, DeviceBuffer):
+            if src.device != dst.device:
+                peer = self.peer_access_enabled(src.device, dst.device)
+        return plan_copy(
+            self.machine, src, dst,
+            require_pinned=require_pinned, peer_enabled=peer,
+        )
 
     def stream_synchronize(
         self, device: int = 0, stream: Optional[Stream] = None
     ) -> Generator:
         """Block the host until the stream drains (cudaStreamSynchronize)."""
-        dev = self._device(device)
+        dev = self.device(device)
         stream = stream or dev.default_stream
         yield stream.idle()
 
@@ -258,7 +290,7 @@ class DeviceRuntime:
         the quantity Comm|Scope's ``DeviceSynchronize`` test measures.
         With work in flight, the host additionally waits for the drain.
         """
-        dev = self._device(device)
+        dev = self.device(device)
         for stream in dev.streams:
             if stream.busy:
                 yield stream.idle()

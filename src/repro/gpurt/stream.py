@@ -9,20 +9,18 @@ wait on (``stream_synchronize`` / ``device_synchronize``).
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator
 
 from ..errors import GpuRuntimeError, InvalidStreamError
 from ..sim.engine import Environment, Event
-from ..sim.resources import Resource, Store
+from ..sim.resources import Resource
 from .kernel import KernelSpec
 from .memcpy import CopyPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from .api import Device
-
-_stream_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -109,34 +107,50 @@ class CopyCommand(Command):
 
 
 class Stream:
-    """One in-order command queue on a device."""
+    """One in-order command queue on a device.
 
-    __slots__ = ("device", "env", "stream_id", "_queue", "_inflight",
-                 "_idle_event", "_destroyed", "_processor")
+    Commands wait in a deque.  The first enqueue starts the stream's
+    one processor, which runs each command inline (``yield from``) in
+    order and parks on a plain event while the queue is empty; an
+    enqueue onto a parked processor wakes it.  So a stream that never
+    gets a command costs no simulation process, and a command costs no
+    queue events and no process of its own.
+    """
 
-    def __init__(self, device: "Device") -> None:
+    __slots__ = ("device", "env", "name", "_queue", "_inflight",
+                 "_idle_event", "_destroyed", "_processor", "_wake")
+
+    def __init__(self, device: "Device", index: int) -> None:
         self.device = device
         self.env: Environment = device.env
-        self.stream_id = next(_stream_ids)
-        self._queue: Store = Store(self.env)
+        #: per device, so a blocked-process roster reads the same
+        #: whatever the process built before
+        self.name = f"gpu{device.index}-stream{index}"
+        self._queue: deque[Command] = deque()
+        #: enqueued commands not yet completed (queued or executing)
         self._inflight = 0
         self._idle_event: Event | None = None
         self._destroyed = False
-        self._processor = self.env.process(
-            self._drain(), name=f"stream{self.stream_id}-processor"
-        )
+        self._processor = None
+        #: what the parked processor waits on; None while it runs
+        self._wake: Event | None = None
 
     # -- host-facing -----------------------------------------------------
     @property
     def busy(self) -> bool:
-        return self._inflight > 0 or len(self._queue) > 0
+        return self._inflight > 0
 
     def enqueue(self, command: Command) -> Command:
         if self._destroyed:
-            raise InvalidStreamError(f"stream {self.stream_id} was destroyed")
+            raise InvalidStreamError(f"stream {self.name} was destroyed")
         command.enqueued_at = self.env.now
         self._inflight += 1
-        self._queue.put(command)
+        self._queue.append(command)
+        if self._processor is None:
+            self._processor = self.env.process(self._drain(), name=self.name)
+        elif self._wake is not None:
+            wake, self._wake = self._wake, None
+            wake.succeed()
         return command
 
     def idle(self) -> Event:
@@ -159,28 +173,28 @@ class Stream:
     def destroy(self) -> None:
         if self.busy:
             raise GpuRuntimeError(
-                f"destroying stream {self.stream_id} with work in flight"
+                f"destroying stream {self.name} with work in flight"
             )
         self._destroyed = True
 
     # -- device-side -------------------------------------------------------
     def _drain(self) -> Generator:
+        queue = self._queue
+        device = self.device
         while True:
-            get = self._queue.get()
-            command: Command = yield get
+            if not queue:
+                self._wake = self.env.event()
+                yield self._wake
+            command = queue.popleft()
             try:
-                yield self.env.process(
-                    command.execute(self.device),
-                    name=f"stream{self.stream_id}-cmd",
-                )
+                yield from command.execute(device)
             except Exception as exc:  # surface device faults to waiters
                 command.completion.fail(GpuRuntimeError(str(exc)))
                 self._inflight -= 1
                 continue
             command.completion.succeed(self.env.now)
             self._inflight -= 1
-            if self._inflight == 0 and len(self._queue) == 0:
-                if self._idle_event is not None:
-                    ev, self._idle_event = self._idle_event, None
-                    if ev.callbacks is not None:
-                        ev.succeed()
+            if self._inflight == 0 and self._idle_event is not None:
+                ev, self._idle_event = self._idle_event, None
+                if ev.callbacks is not None:
+                    ev.succeed()

@@ -203,3 +203,26 @@ class TestGpuCells:
         for cell in (study.gpu_bandwidth(frontier), study.commscope(frontier)):
             assert isinstance(cell, Degraded)
             assert "event budget of 5 exceeded" in cell.reason
+
+    def test_watchdog_reasons_do_not_depend_on_process_history(
+        self, summit, frontier
+    ):
+        """A watchdog-degraded GPU cell's reason names the blocked
+        stream processors, and footnotes render it and the cell cache
+        stores it: the names are per device, so a second identical
+        study in one process and a ``jobs=2`` study log the same."""
+        from repro.core.study import Study, StudyConfig
+        from repro.core.tables import build_table5, build_table6
+
+        def entries(jobs):
+            study = Study(StudyConfig(
+                runs=2, seed=3, cell_max_events=5, jobs=jobs,
+            ))
+            build_table5(study, [summit])
+            build_table6(study, [frontier])
+            return study.resilience.entries
+
+        first = entries(1)
+        assert any("gpu0-stream0" in e.reason for e in first)
+        assert entries(1) == first
+        assert entries(2) == first

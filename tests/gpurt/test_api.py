@@ -5,7 +5,10 @@ import pytest
 from repro.errors import GpuRuntimeError
 from repro.gpurt.api import DeviceRuntime
 from repro.gpurt.kernel import EMPTY_KERNEL, stream_kernel
+from repro.machines.registry import get_machine
 from repro.memsys.writealloc import TRIAD
+from repro.obs.profiler import SimProfiler
+from repro.sim.engine import profiled
 from repro.sim.trace import TraceRecorder
 from repro.units import to_us, us
 
@@ -18,6 +21,29 @@ class TestConstruction:
     def test_cpu_machine_rejected(self, sawtooth):
         with pytest.raises(GpuRuntimeError):
             DeviceRuntime(sawtooth)
+
+    def test_launch_builds_one_device_and_one_stream(self, frontier):
+        rt = DeviceRuntime(frontier)
+
+        def host():
+            yield from rt.launch_kernel(EMPTY_KERNEL, device=0)
+            yield from rt.device_synchronize(0)
+
+        rt.run(host())
+        built = [dev for dev in rt._devices if dev is not None]
+        assert [dev.index for dev in built] == [0]
+        assert built[0].streams == [built[0].default_stream]
+        assert len(rt.devices) == frontier.node.n_gpus
+
+    @pytest.mark.parametrize("name", ["frontier", "perlmutter", "summit"])
+    def test_empty_sync_processes_three_events(self, name):
+        """Host start, the sync timeout and host exit: no device or
+        stream of the node costs an event before it gets work."""
+        rt = DeviceRuntime(get_machine(name))
+        profiler = SimProfiler()
+        with profiled(profiler):
+            rt.run(rt.device_synchronize(0))
+        assert profiler.total_events == 3
 
 
 class TestAllocation:

@@ -75,6 +75,17 @@ class TestPeerAccess:
         )
         assert "cpu0" in plan.route
 
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_plan_for_costs_the_copy_memcpy_runs(self, frontier, enabled):
+        rt = DeviceRuntime(frontier)
+        if not enabled:
+            rt.disable_peer_access(0, 1)
+        plan = rt.plan_for(
+            DeviceBuffer(nbytes=128, device=1), DeviceBuffer(nbytes=128, device=0)
+        )
+        assert plan.duration(128) == timed_d2d(rt, 0, 1, 128)
+
     def test_table6_path_uses_enabled_default(self, frontier):
         """The calibrated Table 6 figures assume peer access on."""
         from repro.benchmarks.commscope.memcpy_tests import memcpy_d2d
