@@ -22,30 +22,46 @@ or from the shell: ``python -m repro table6``.
 """
 
 from ._version import __version__
-from .machines import (
-    Machine,
-    all_machines,
-    by_rank,
-    cpu_machines,
-    get_machine,
-    gpu_machines,
-    machine_names,
-)
-from .core import Study, StudyConfig, Statistic
-from .faults import FaultPlan, get_profile
 
-__all__ = [
-    "__version__",
-    "Machine",
-    "get_machine",
-    "by_rank",
-    "machine_names",
-    "cpu_machines",
-    "gpu_machines",
-    "all_machines",
-    "Study",
-    "StudyConfig",
-    "Statistic",
-    "FaultPlan",
-    "get_profile",
-]
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """``(__all__, __getattr__)`` for a package whose public names live
+    in submodules: a name is imported from its module on first access
+    (PEP 562), so importing the package itself loads none of them.
+
+    ``exports`` maps each module, relative to ``package``, to the names
+    it provides, in ``__all__`` order.
+    """
+    import importlib
+    import sys
+
+    where = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        module = where.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module, package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return list(where), __getattr__
+
+
+__all__, __getattr__ = _lazy_exports(__name__, {
+    ".machines": (
+        "Machine",
+        "get_machine",
+        "by_rank",
+        "machine_names",
+        "cpu_machines",
+        "gpu_machines",
+        "all_machines",
+    ),
+    ".core.study": ("Study",),
+    ".core.config": ("StudyConfig",),
+    ".core.results": ("Statistic",),
+    ".faults.models": ("FaultPlan",),
+    ".faults.profiles": ("get_profile",),
+})
+__all__.insert(0, "__version__")

@@ -1,26 +1,5 @@
-"""Analysis and presentation utilities (table layout, error metrics,
-utilization summaries)."""
-
-from .format import layout_table, format_seconds, format_bytes_per_s
-from .metrics import relative_error, within_factor, ratio
-from .utilization import (
-    DmaUtilization,
-    LinkUsage,
-    dma_utilization,
-    link_usage,
-    render_link_usage,
-)
-
-__all__ = [
-    "layout_table",
-    "format_seconds",
-    "format_bytes_per_s",
-    "relative_error",
-    "within_factor",
-    "ratio",
-    "DmaUtilization",
-    "LinkUsage",
-    "dma_utilization",
-    "link_usage",
-    "render_link_usage",
-]
+"""Analysis and presentation utilities: table layout
+(:mod:`.format`), error metrics (:mod:`.metrics`) and utilization
+summaries (:mod:`.utilization`).  Import from the submodules; this
+package imports none of them.
+"""

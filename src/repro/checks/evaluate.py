@@ -26,7 +26,6 @@ own (the paper-refs CI gate treats skips as advisory).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -385,6 +384,9 @@ def evaluate(
     including its rendered forms — is byte-identical at any job count.
     """
     if jobs > 1:
+        # concurrent.futures loads logging and traceback: only a pool pays
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(
                 pool.map(

@@ -7,52 +7,26 @@ Table 7 ranges; :mod:`~repro.core.figures` renders the node diagrams of
 Figures 1-3.
 """
 
-from .parallel import CellOutcome, CellScheduler, CellTask, resolve_jobs
-from .resilience import DEGRADED_MARK, Degraded, ResilienceLog
-from .results import Statistic
-from .spec import ExperimentSpec, all_experiments, get_experiment
-from .study import Study, StudyConfig
-from .tables import (
-    Table4Row,
-    Table5Row,
-    Table6Row,
-    build_table4,
-    build_table5,
-    build_table6,
-    render_table4,
-    render_table5,
-    render_table6,
-)
-from .summary import Table7Row, build_table7, render_table7
-from .figures import render_node_ascii, render_node_dot, figure_for
+from .. import _lazy_exports
 
-__all__ = [
-    "CellOutcome",
-    "CellScheduler",
-    "CellTask",
-    "resolve_jobs",
-    "DEGRADED_MARK",
-    "Degraded",
-    "ResilienceLog",
-    "Statistic",
-    "ExperimentSpec",
-    "all_experiments",
-    "get_experiment",
-    "Study",
-    "StudyConfig",
-    "Table4Row",
-    "Table5Row",
-    "Table6Row",
-    "build_table4",
-    "build_table5",
-    "build_table6",
-    "render_table4",
-    "render_table5",
-    "render_table6",
-    "Table7Row",
-    "build_table7",
-    "render_table7",
-    "render_node_ascii",
-    "render_node_dot",
-    "figure_for",
-]
+__all__, __getattr__ = _lazy_exports(__name__, {
+    ".parallel": ("CellOutcome", "CellScheduler", "CellTask", "resolve_jobs"),
+    ".resilience": ("DEGRADED_MARK", "Degraded", "ResilienceLog"),
+    ".results": ("Statistic",),
+    ".spec": ("ExperimentSpec", "all_experiments", "get_experiment"),
+    ".study": ("Study",),
+    ".config": ("StudyConfig",),
+    ".tables": (
+        "Table4Row",
+        "Table5Row",
+        "Table6Row",
+        "build_table4",
+        "build_table5",
+        "build_table6",
+        "render_table4",
+        "render_table5",
+        "render_table6",
+    ),
+    ".summary": ("Table7Row", "build_table7", "render_table7"),
+    ".figures": ("render_node_ascii", "render_node_dot", "figure_for"),
+})

@@ -55,7 +55,7 @@ from ..obs import live, runtime as obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .parallel import CellOutcome, CellTask
-    from .study import StudyConfig
+    from .config import StudyConfig
 
 #: bump on any payload-layout or key-derivation change, or when a
 #: cell's result under an unchanged key changes: every entry written

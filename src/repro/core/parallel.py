@@ -61,7 +61,8 @@ from ..obs import live, runtime as obs
 from ..obs.runtime import NULL_CONTEXT, ObsContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .study import Study, StudyConfig
+    from .config import StudyConfig
+    from .study import Study
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -270,11 +271,7 @@ class CellScheduler:
         #: persistent cell-result cache (``config.cache``; ``--resume
         #: DIR`` is ``--cache-dir DIR``): consulted before computing a
         #: cell and fed with every freshly computed one
-        self.cache = None
-        if config.cache:
-            from .cellcache import CellCache
-
-            self.cache = CellCache(config.cache_dir)
+        self.cache = config.cell_cache()
         #: one supervisor per pool pass, kept for stats()
         self._supervisors: list = []
         self._outcomes: dict[tuple[str, ...], CellOutcome] = {}

@@ -36,8 +36,8 @@ from ..benchmarks.osu.runner import (
     device_latency_by_class,
     latency_for_pair,
 )
-from ..errors import BenchmarkConfigError, CellExecutionError, ReproError
-from ..faults import FaultPlan, make_injector
+from ..errors import CellExecutionError, ReproError
+from ..faults.injector import make_injector
 from ..hardware.topology import LinkClass
 from ..machines.base import Machine
 from ..obs import live, runtime as obs
@@ -49,121 +49,10 @@ from ..sim.random import (
     NoiseModel,
     RandomStreams,
 )
+from .config import StudyConfig
 from .parallel import CellScheduler
 from .resilience import Degraded, ResilienceLog, degraded_in, run_cell
 from .results import Statistic
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    """Knobs for one study pass.
-
-    Every parameter is validated here, at construction — a bad value
-    raises :class:`~repro.errors.ReproError` immediately with a clear
-    message instead of failing hundreds of events deep inside a sweep.
-    """
-
-    runs: int = 100
-    seed: int = 20230612
-    exact: bool = False
-    #: array size for the CPU BabelStream sweep (None = paper default)
-    cpu_array_bytes: int | None = None
-    #: array size for the device BabelStream run (None = paper's 1 GB)
-    gpu_array_bytes: int | None = None
-    #: fault plan injected into the study (None or a null plan = clean)
-    faults: FaultPlan | None = None
-    #: extra attempts per benchmark cell before it degrades
-    max_retries: int = 2
-    #: per-cell simulation event budget (watchdog); None = unbounded
-    cell_max_events: int | None = 5_000_000
-    #: explicit osu_latency sweep sizes (None = upstream power-of-two set)
-    latency_sweep_sizes: tuple[int, ...] | None = None
-    #: worker processes for benchmark cells (1 = serial, 0 = all cores)
-    jobs: int = 1
-    #: serve unchanged benchmark cells from the persistent result cache
-    cache: bool = False
-    #: cache directory override (None = ``~/.cache/repro``)
-    cache_dir: str | None = None
-    #: per-cell wall deadline under ``jobs`` > 1 (seconds); a worker
-    #: running one cell past it is killed and the cell retried.  None
-    #: (the default) disarms the deadline.
-    cell_timeout: float | None = None
-    #: extra dispatch attempts per cell after a worker crash/deadline
-    #: kill before the cell degrades to a ``—†`` marker
-    max_cell_retries: int = 2
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.runs, int) or self.runs < 1:
-            raise BenchmarkConfigError(f"runs must be an int >= 1: {self.runs!r}")
-        if (
-            not isinstance(self.jobs, int)
-            or isinstance(self.jobs, bool)
-            or self.jobs < 0
-        ):
-            raise BenchmarkConfigError(
-                f"jobs must be an int >= 0 (0 = all cores): {self.jobs!r}"
-            )
-        if not isinstance(self.seed, int):
-            raise BenchmarkConfigError(f"seed must be an int: {self.seed!r}")
-        for name in ("cpu_array_bytes", "gpu_array_bytes"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value <= 0):
-                raise BenchmarkConfigError(
-                    f"{name} must be a positive int or None: {value!r}"
-                )
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
-            raise BenchmarkConfigError(
-                f"max_retries must be an int >= 0: {self.max_retries!r}"
-            )
-        if self.cell_max_events is not None and (
-            not isinstance(self.cell_max_events, int) or self.cell_max_events < 1
-        ):
-            raise BenchmarkConfigError(
-                f"cell_max_events must be a positive int or None: "
-                f"{self.cell_max_events!r}"
-            )
-        if not isinstance(self.cache, bool):
-            raise BenchmarkConfigError(f"cache must be a bool: {self.cache!r}")
-        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
-            raise BenchmarkConfigError(
-                f"cache_dir must be a str or None: {self.cache_dir!r}"
-            )
-        if self.faults is not None and not isinstance(self.faults, FaultPlan):
-            raise BenchmarkConfigError(
-                f"faults must be a FaultPlan or None: {self.faults!r}"
-            )
-        if self.cell_timeout is not None and (
-            not isinstance(self.cell_timeout, (int, float))
-            or isinstance(self.cell_timeout, bool)
-            or self.cell_timeout <= 0
-        ):
-            raise BenchmarkConfigError(
-                f"cell_timeout must be a positive number or None: "
-                f"{self.cell_timeout!r}"
-            )
-        if (
-            not isinstance(self.max_cell_retries, int)
-            or isinstance(self.max_cell_retries, bool)
-            or self.max_cell_retries < 0
-        ):
-            raise BenchmarkConfigError(
-                f"max_cell_retries must be an int >= 0: "
-                f"{self.max_cell_retries!r}"
-            )
-        sizes = self.latency_sweep_sizes
-        if sizes is not None:
-            if len(sizes) == 0:
-                raise BenchmarkConfigError("latency_sweep_sizes must not be empty")
-            for size in sizes:
-                if not isinstance(size, int) or size < 0:
-                    raise BenchmarkConfigError(
-                        f"latency_sweep_sizes entries must be ints >= 0: {size!r}"
-                    )
-            if any(b <= a for a, b in zip(sizes, sizes[1:])):
-                raise BenchmarkConfigError(
-                    "latency_sweep_sizes must be strictly increasing: "
-                    f"{sizes!r}"
-                )
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ from .resilience import Degraded
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .parallel import CellTask
-    from .study import StudyConfig
+    from .config import StudyConfig
 
 #: parent poll interval while a deadline is armed (seconds)
 _TICK = 0.05

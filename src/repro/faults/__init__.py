@@ -12,7 +12,7 @@ Public surface:
   the sim layers query, seeded from the study's deterministic streams.
 """
 
-from .injector import FaultInjector, make_injector
+from .. import _lazy_exports
 from .models import (
     FaultPlan,
     FaultSpec,
@@ -25,6 +25,11 @@ from .models import (
     WorkerStall,
 )
 from .profiles import PROFILES, get_profile
+
+# the injector imports numpy; load it on first use
+_, __getattr__ = _lazy_exports(
+    __name__, {".injector": ("FaultInjector", "make_injector")}
+)
 
 __all__ = [
     "FaultPlan",

@@ -190,9 +190,10 @@ class Stream:
                 yield from command.execute(device)
             except Exception as exc:  # surface device faults to waiters
                 command.completion.fail(GpuRuntimeError(str(exc)))
-                self._inflight -= 1
-                continue
-            command.completion.succeed(self.env.now)
+            else:
+                command.completion.succeed(self.env.now)
+            # a failed command ends like a finished one: the stream can
+            # still go idle, so a synchronising host never deadlocks
             self._inflight -= 1
             if self._inflight == 0 and self._idle_event is not None:
                 ev, self._idle_event = self._idle_event, None

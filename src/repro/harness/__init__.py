@@ -4,29 +4,3 @@ The paper's published numbers live in :mod:`.paper_values` and are used
 **only** to compare against the simulation's output (they feed nothing
 back into the models).
 """
-
-from .paper_values import (
-    PAPER_TABLE4,
-    PAPER_TABLE5,
-    PAPER_TABLE6,
-    PAPER_TABLE7,
-)
-from .compare import (
-    ComparisonRow,
-    compare_table4,
-    compare_table5,
-    compare_table6,
-    render_comparison,
-)
-
-__all__ = [
-    "PAPER_TABLE4",
-    "PAPER_TABLE5",
-    "PAPER_TABLE6",
-    "PAPER_TABLE7",
-    "ComparisonRow",
-    "compare_table4",
-    "compare_table5",
-    "compare_table6",
-    "render_comparison",
-]

@@ -57,27 +57,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from ..core.figures import FIGURE_MACHINES, figure_for, render_node_ascii
-from ..core.report import full_report, inventory_section
-from ..core.study import Study, StudyConfig
-from ..core.summary import build_table7, render_table7
-from ..core.tables import (
-    build_table4,
-    build_table5,
-    build_table6,
-    render_table4,
-    render_table5,
-    render_table6,
-)
-from ..machines.registry import cpu_machines, gpu_machines
-from ..openmp.env import table1_configurations
-from .compare import (
-    compare_table4,
-    compare_table5,
-    compare_table6,
-    render_comparison,
-)
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.study import Study
 
 TARGETS = (
     "table1", "table2", "table3", "table4", "table5", "table6", "table7",
@@ -85,6 +68,13 @@ TARGETS = (
     "compare", "report", "sweeps", "internode", "artifacts", "selfcheck",
     "all",
 )
+
+#: targets that read benchmark cells: a run builds its
+#: :class:`~repro.core.study.Study` just before the first of them, and a
+#: run of other targets never builds one
+CELL_TARGETS = frozenset({
+    "table4", "table5", "table6", "table7", "compare", "report", "artifacts",
+})
 
 #: exit status when the run completed but some cells degraded under faults
 EXIT_DEGRADED = 3
@@ -103,6 +93,9 @@ def _stderr_report(text: str, quiet: bool) -> None:
 
 
 def _print_table1() -> str:
+    from ..machines.registry import cpu_machines
+    from ..openmp.env import table1_configurations
+
     lines = ["OMP_NUM_THREADS  OMP_PROC_BIND  OMP_PLACES"]
     node = cpu_machines()[0].node
     for env in table1_configurations(node):
@@ -114,6 +107,8 @@ def _print_table1() -> str:
 
 
 def _print_table2() -> str:
+    from ..machines.registry import cpu_machines
+
     lines = ["Rank/Name       Location  CPU"]
     for m in cpu_machines():
         lines.append(f"{m.ranked_name():14s}  {m.location:8s}  {m.cpu_model}")
@@ -121,6 +116,8 @@ def _print_table2() -> str:
 
 
 def _print_table3() -> str:
+    from ..machines.registry import gpu_machines
+
     lines = ["Rank/Name       Location  CPU                  Accelerator"]
     for m in gpu_machines():
         lines.append(
@@ -131,6 +128,8 @@ def _print_table3() -> str:
 
 
 def _print_table8() -> str:
+    from ..machines.registry import cpu_machines
+
     lines = ["Rank/Name       Compiler          MPI"]
     for m in cpu_machines():
         lines.append(
@@ -140,6 +139,8 @@ def _print_table8() -> str:
 
 
 def _print_table9() -> str:
+    from ..machines.registry import gpu_machines
+
     lines = ["Rank/Name       Compiler         Device Library   MPI"]
     for m in gpu_machines():
         sw = m.software
@@ -150,8 +151,11 @@ def _print_table9() -> str:
     return "\n".join(lines)
 
 
-def run_target(target: str, study: Study) -> str:
+def run_target(target: str, study: "Study | None" = None) -> str:
     """Produce the output text for one CLI target.
+
+    Each target imports what it renders, so a run loads only the code
+    its targets use.  Only the :data:`CELL_TARGETS` read ``study``.
 
     ``check`` is not a command-line target (the word is the regression
     check subcommand); it names the section of ``all`` that prints the
@@ -164,12 +168,21 @@ def run_target(target: str, study: Study) -> str:
     if target == "table3":
         return _print_table3()
     if target == "table4":
+        from ..core.tables import build_table4, render_table4
+
         return render_table4(build_table4(study))
     if target == "table5":
+        from ..core.tables import build_table5, render_table5
+
         return render_table5(build_table5(study))
     if target == "table6":
+        from ..core.tables import build_table6, render_table6
+
         return render_table6(build_table6(study))
     if target == "table7":
+        from ..core.summary import build_table7, render_table7
+        from ..core.tables import build_table5, build_table6
+
         return render_table7(
             build_table7(build_table5(study), build_table6(study))
         )
@@ -178,9 +191,19 @@ def run_target(target: str, study: Study) -> str:
     if target == "table9":
         return _print_table9()
     if target.startswith("figure"):
+        from ..core.figures import figure_for, render_node_ascii
+
         number = int(target.removeprefix("figure"))
         return render_node_ascii(figure_for(number))
     if target == "compare":
+        from ..core.tables import build_table4, build_table5, build_table6
+        from .compare import (
+            compare_table4,
+            compare_table5,
+            compare_table6,
+            render_comparison,
+        )
+
         rows = (
             compare_table4(build_table4(study))
             + compare_table5(build_table5(study))
@@ -188,6 +211,8 @@ def run_target(target: str, study: Study) -> str:
         )
         return render_comparison(rows)
     if target == "report":
+        from ..core.report import full_report
+
         return full_report(study)
     if target == "sweeps":
         return _print_sweeps()
@@ -221,6 +246,7 @@ def _print_sweeps() -> str:
 
 def _print_internode() -> str:
     """Future-work extension: inter-node latency/bandwidth per machine."""
+    from ..machines.registry import cpu_machines, gpu_machines
     from ..mpisim.transport import BufferKind
     from ..netsim.cluster import Cluster, ClusterRankLocation
     from ..units import to_gb_per_s, to_us
@@ -373,19 +399,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    from ..core.config import StudyConfig, study_state
     from ..errors import ReproError
     from ..faults import get_profile
 
     cache = args.cache if args.cache is not None else bool(args.cache_dir)
     try:
-        plan = get_profile(args.faults)
-        study = Study(StudyConfig(
+        config = StudyConfig(
             runs=args.runs, seed=args.seed, exact=args.exact,
-            faults=plan, max_retries=args.max_retries, jobs=args.jobs,
-            cache=cache, cache_dir=args.cache_dir or None,
+            faults=get_profile(args.faults), max_retries=args.max_retries,
+            jobs=args.jobs, cache=cache, cache_dir=args.cache_dir or None,
             cell_timeout=args.cell_timeout,
             max_cell_retries=args.max_cell_retries,
-        ))
+        )
     except ReproError as exc:
         parser.error(str(exc))
     targets = list(args.targets)
@@ -416,6 +442,7 @@ def main(argv: list[str] | None = None) -> int:
         session = live.RunTelemetry(EventLog(args.events_out))
         session.run_start(targets, resolve_jobs(args.jobs), args.seed)
 
+    study = None
     text = ""
     wrote_bundle = False
     started_at = time.time()
@@ -424,6 +451,10 @@ def main(argv: list[str] | None = None) -> int:
         with obs_runtime.observability(ctx), live.telemetry(session):
             try:
                 for target in targets:
+                    if study is None and target in CELL_TARGETS:
+                        from ..core.study import Study
+
+                        study = Study(config)
                     if target == "artifacts":
                         from .artifacts import write_artifacts
 
@@ -451,17 +482,21 @@ def main(argv: list[str] | None = None) -> int:
         # run ended), closes the log, and records the run in the ledger
         session.run_end(outcome=run_outcome)
         session.close()
+        # a run that read no cell has no Study: it reports and records
+        # what a fresh Study(config) would
+        run = study if study is not None else config
+        _, _, resilience, cell_cache = study_state(run)
         if args.ledger_record:
             from ..obs.ledger import record_study_run
 
             entry = record_study_run(
-                study,
+                run,
                 targets=targets,
                 directory=args.ledger_dir or None,
                 started=started_at,
                 outcome=run_outcome,
                 exit_code=(
-                    (EXIT_DEGRADED if study.resilience.degraded_count else 0)
+                    (EXIT_DEGRADED if resilience.degraded_count else 0)
                     if run_outcome == "ok" else None
                 ),
                 events=session.events,
@@ -485,12 +520,12 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
         _stderr_report(f"wrote {args.output}", args.quiet)
-    if study.injector is not None or study.resilience.degraded_count:
+    if config.faults_armed or resilience.degraded_count:
         # the summary goes to stderr so stdout stays pure table text;
         # crash-degraded cells report even under --faults none
-        _stderr_report(study.resilience.summary(), args.quiet)
-    if study.scheduler.cache is not None:
-        stats = study.scheduler.cache.stats()
+        _stderr_report(resilience.summary(), args.quiet)
+    if cell_cache is not None:
+        stats = cell_cache.stats()
         _stderr_report(
             f"cell cache: {stats['hits']} hit(s), {stats['misses']} "
             f"miss(es), {stats['stores']} store(s), "
@@ -513,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
         _stderr_report(
             text_summary(ctx.tracer, ctx.metrics, ctx.profiler), args.quiet
         )
-    if study.resilience.degraded_count:
+    if resilience.degraded_count:
         # injected faults *and* real worker failures land here: the
         # tables rendered, but some cells carry the —† marker
         return EXIT_DEGRADED

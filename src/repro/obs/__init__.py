@@ -31,118 +31,68 @@ manifest, metrics, outcome and attribution under a content-addressed
 run id, making runs comparable across time via ``repro runs``.
 """
 
-from .events import (
-    EVENT_KINDS,
-    EVENT_SCHEMA,
-    EventLog,
-    check_invariants,
-    read_events,
-)
-from .export import (
-    EXECUTION_NAMESPACES,
-    chrome_trace,
-    metrics_snapshot,
-    simulation_metrics,
-    text_summary,
-    write_chrome_trace,
-    write_metrics,
-)
-from .ledger import (
-    LEDGER_SCHEMA,
-    LedgerEntry,
-    LedgerRun,
-    RunLedger,
-    default_ledger_dir,
-    record_study_run,
-    study_metrics_doc,
-    study_outcome_doc,
-)
-from .live import NULL_TELEMETRY, NullRunTelemetry, RunTelemetry
-from .manifest import (
-    MANIFEST_SCHEMA,
-    build_manifest,
-    config_fingerprint,
-    render_manifest,
-    write_manifest,
-)
-from .metrics import (
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
-)
-from .profiler import ProfileReport, SimProfiler, SubsystemStats
-from .runtime import (
-    NULL_CONTEXT,
-    ObsContext,
-    activate,
-    count,
-    current,
-    observability,
-    observe,
-)
-from .span import (
-    NULL_SPAN,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    SpanRecord,
-    Tracer,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "Span",
-    "SpanRecord",
-    "Tracer",
-    "NullTracer",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
-    "DEFAULT_BUCKETS",
-    "SimProfiler",
-    "SubsystemStats",
-    "ProfileReport",
-    "ObsContext",
-    "NULL_CONTEXT",
-    "current",
-    "activate",
-    "observability",
-    "count",
-    "observe",
-    "chrome_trace",
-    "metrics_snapshot",
-    "simulation_metrics",
-    "EXECUTION_NAMESPACES",
-    "text_summary",
-    "write_chrome_trace",
-    "write_metrics",
-    "EventLog",
-    "EVENT_SCHEMA",
-    "EVENT_KINDS",
-    "read_events",
-    "check_invariants",
-    "RunTelemetry",
-    "NullRunTelemetry",
-    "NULL_TELEMETRY",
-    "MANIFEST_SCHEMA",
-    "config_fingerprint",
-    "build_manifest",
-    "render_manifest",
-    "write_manifest",
-    "LEDGER_SCHEMA",
-    "LedgerEntry",
-    "LedgerRun",
-    "RunLedger",
-    "default_ledger_dir",
-    "study_metrics_doc",
-    "study_outcome_doc",
-    "record_study_run",
-]
+__all__, __getattr__ = _lazy_exports(__name__, {
+    ".span": (
+        "Span",
+        "SpanRecord",
+        "Tracer",
+        "NullTracer",
+        "NULL_SPAN",
+        "NULL_TRACER",
+    ),
+    ".metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "NullMetrics",
+        "NULL_METRICS",
+        "DEFAULT_BUCKETS",
+    ),
+    ".profiler": ("SimProfiler", "SubsystemStats", "ProfileReport"),
+    ".runtime": (
+        "ObsContext",
+        "NULL_CONTEXT",
+        "current",
+        "activate",
+        "observability",
+        "count",
+        "observe",
+    ),
+    ".export": (
+        "chrome_trace",
+        "metrics_snapshot",
+        "simulation_metrics",
+        "EXECUTION_NAMESPACES",
+        "text_summary",
+        "write_chrome_trace",
+        "write_metrics",
+    ),
+    ".events": (
+        "EventLog",
+        "EVENT_SCHEMA",
+        "EVENT_KINDS",
+        "read_events",
+        "check_invariants",
+    ),
+    ".live": ("RunTelemetry", "NullRunTelemetry", "NULL_TELEMETRY"),
+    ".manifest": (
+        "MANIFEST_SCHEMA",
+        "config_fingerprint",
+        "build_manifest",
+        "render_manifest",
+        "write_manifest",
+    ),
+    ".ledger": (
+        "LEDGER_SCHEMA",
+        "LedgerEntry",
+        "LedgerRun",
+        "RunLedger",
+        "default_ledger_dir",
+        "study_metrics_doc",
+        "study_outcome_doc",
+        "record_study_run",
+    ),
+})

@@ -309,11 +309,17 @@ def study_metrics_doc(study) -> dict:
     The flattened per-cell statistics (:meth:`~repro.core.study.Study
     .outcome_summary`) become the metrics of a single ``study`` target,
     so two ledgered CLI runs diff through the Welch-tested comparator of
-    :mod:`repro.obs.analyze.baseline`.
+    :mod:`repro.obs.analyze.baseline`.  ``study`` may also be the config
+    of a run that read no cell (:func:`~repro.core.config.study_state`).
     """
-    config = study.config
-    target: dict[str, Any] = {"metrics": study.outcome_summary()}
-    if study.resilience.degraded_count:
+    from ..core.config import study_state
+
+    config, cells, resilience, _cache = study_state(study)
+    # a run without cell results has no metrics (and maybe no Study)
+    target: dict[str, Any] = {
+        "metrics": study.outcome_summary() if cells else {}
+    }
+    if resilience.degraded_count:
         target["degraded"] = True
     return {
         "schema": "repro.bench/v1",
@@ -335,7 +341,11 @@ def study_outcome_doc(
     finished: Optional[float] = None,
     events=None,
 ) -> dict:
-    """The outcome document for one study run (JSON-ready)."""
+    """The outcome document for one study run (JSON-ready); ``study``
+    is a Study or a config, as for :func:`study_metrics_doc`."""
+    from ..core.config import study_state
+
+    config, cells, resilience, cache = study_state(study)
     doc: dict[str, Any] = {
         "schema": LEDGER_SCHEMA,
         "outcome": outcome,
@@ -347,15 +357,15 @@ def study_outcome_doc(
             if started is not None and finished is not None
             else None
         ),
-        "jobs": study.config.jobs,
+        "jobs": config.jobs,
         "cells": {
-            "total": len(study.cell_results),
-            "degraded": study.resilience.degraded_count,
+            "total": len(cells),
+            "degraded": resilience.degraded_count,
         },
-        "degraded": [e.footnote() for e in study.resilience.entries],
+        "degraded": [e.footnote() for e in resilience.entries],
     }
-    if study.scheduler.cache is not None:
-        doc["cache"] = study.scheduler.cache.stats()
+    if cache is not None:
+        doc["cache"] = cache.stats()
     if events is not None:
         doc["events"] = events.stats()
     return doc
@@ -376,9 +386,11 @@ def record_study_run(
 ) -> Optional[LedgerEntry]:
     """Assemble and record one CLI study run; never raises.
 
-    ``obs`` is the run's :class:`~repro.obs.runtime.ObsContext` — when
-    it is enabled the tracer's benchmark windows are attributed and
-    recorded for ``runs flame``.
+    ``study`` is the run's Study, or its config when no target read a
+    cell (:func:`~repro.core.config.study_state`).  ``obs`` is the
+    run's :class:`~repro.obs.runtime.ObsContext` — when it is enabled
+    the tracer's benchmark windows are attributed and recorded for
+    ``runs flame``.
     """
     try:
         from .manifest import build_manifest

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Optional
 from .._version import __version__ as _CODE_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.study import StudyConfig
+    from ..core.config import StudyConfig
 
 #: bump on any manifest-layout change
 MANIFEST_SCHEMA = "repro.manifest/v1"
@@ -80,8 +80,14 @@ def build_manifest(
     started: Optional[float] = None,
     finished: Optional[float] = None,
 ) -> dict:
-    """Assemble the manifest dict for one study run (JSON-ready)."""
-    config = study.config
+    """Assemble the manifest dict for one study run (JSON-ready).
+
+    ``study`` is a :class:`~repro.core.study.Study`, or the config of a
+    run that read no cell (:func:`~repro.core.config.study_state`).
+    """
+    from ..core.config import study_state
+
+    config, _cells, resilience, cache = study_state(study)
     finished = finished if finished is not None else time.time()
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -110,7 +116,7 @@ def build_manifest(
                 finished - started if started is not None else None
             ),
         },
-        "degraded_cells": study.resilience.degraded_count,
+        "degraded_cells": resilience.degraded_count,
     }
     side: dict = {}
     if events_path:
@@ -119,7 +125,6 @@ def build_manifest(
             "schema": "repro.events/v1",
             "digest": _file_digest(events_path),
         }
-    cache = study.scheduler.cache
     if cache is not None:
         side["cache"] = {
             "directory": str(cache.directory),

@@ -9,28 +9,9 @@ message exchange with :class:`~repro.sim.channel.Channel`.
 
 All benchmark "timings" in this package are read off the simulated clock,
 never the wall clock.
+
+Import from the submodules (:mod:`.engine`, :mod:`.resources`,
+:mod:`.channel`, :mod:`.random`, :mod:`.trace`): this package imports
+none of them, so loading the engine does not load numpy, which only
+:mod:`.random` needs.
 """
-
-from .engine import Environment, Event, Process, Timeout, AllOf, AnyOf, Interrupt
-from .resources import Resource, PriorityResource, Store
-from .channel import Channel
-from .random import RandomStreams, NoiseModel
-from .trace import TraceRecorder, TraceEvent
-
-__all__ = [
-    "Environment",
-    "Event",
-    "Process",
-    "Timeout",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "Resource",
-    "PriorityResource",
-    "Store",
-    "Channel",
-    "RandomStreams",
-    "NoiseModel",
-    "TraceRecorder",
-    "TraceEvent",
-]

@@ -81,3 +81,27 @@ class TestStream:
             return s1.busy
 
         assert rt.run(host()) is True
+
+
+class TestFailedLastCommand:
+    """A stream whose last command fails still drains to idle."""
+
+    @pytest.mark.parametrize("sync", ["stream", "device"])
+    def test_synchronize_returns(self, frontier, sync):
+        rt = DeviceRuntime(frontier)
+        bad = KernelSpec("bad", lambda dev: (_ for _ in ()).throw(ValueError("x")))
+
+        def host():
+            cmd = yield from rt.launch_kernel(bad, device=0)
+            cmd.completion.defuse()
+            if sync == "stream":
+                yield from rt.stream_synchronize(0)
+            else:
+                yield from rt.device_synchronize(0)
+            return cmd
+
+        cmd = rt.run(host())
+        assert not rt.devices[0].default_stream.busy
+        assert cmd.completion.processed and not cmd.completion.ok
+        assert isinstance(cmd.completion.value, GpuRuntimeError)
+        assert "x" in str(cmd.completion.value)

@@ -1,5 +1,6 @@
 """Tests for the command-line harness."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from repro.core.study import Study, StudyConfig
+from repro.faults import get_profile
 from repro.harness.cli import TARGETS, main, run_target
+from repro.obs.ledger import RunLedger, study_metrics_doc, study_outcome_doc
+from repro.obs.manifest import build_manifest
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +184,87 @@ def test_package_runs_without_networkx(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "==> table2" in proc.stdout and "==> report" in proc.stdout
+
+
+#: the targets that read no benchmark cell and load no numpy
+STATIC_TARGETS = [
+    "table1", "table2", "table3", "table8", "table9",
+    "figure1", "figure2", "figure3",
+]
+
+#: blocks numpy, runs every static target and ``runs list`` with the
+#: ledger on, then checks numpy and the study module were never loaded
+WITHOUT_NUMPY = f"""
+import sys
+sys.modules["numpy"] = None
+from repro.harness.cli import main
+for target in {STATIC_TARGETS!r}:
+    assert main([target]) == 0, target
+assert main(["runs", "list"]) == 0
+assert sys.modules.pop("numpy") is None
+assert not [m for m in sys.modules if m.partition(".")[0] == "numpy"]
+assert "repro.core.study" not in sys.modules
+"""
+
+
+def test_static_targets_run_without_numpy(tmp_path):
+    src = Path(__file__).resolve().parents[2] / "src"
+    ledger = tmp_path / "ledger"
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src),
+             "REPRO_LEDGER_DIR": str(ledger)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    records, skipped = RunLedger(ledger).read_index()
+    assert skipped == 0
+    assert [r["targets"] for r in records] == [[t] for t in STATIC_TARGETS]
+    assert all(r["outcome"] == "ok" and r["exit_code"] == 0 for r in records)
+    # `runs list` read that history back
+    assert all(r["run_id"] in proc.stdout for r in records)
+
+
+class TestStaticRun:
+    """A run that reads no cell builds no Study, yet reports and records
+    exactly what one built from its config would."""
+
+    def test_side_outputs_match_a_study(self, tmp_path, capsys):
+        cells, ledger = tmp_path / "cells", tmp_path / "ledger"
+        argv = ["table2", "--faults", "chaos", "--cache-dir", str(cells),
+                "--ledger-dir", str(ledger)]
+        assert main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "resilience: all cells healthy" in err
+        assert (
+            f"cell cache: 0 hit(s), 0 miss(es), 0 store(s), 0 invalidated "
+            f"under {cells}"
+        ) in err
+
+        recorded = RunLedger(ledger)
+        run = recorded.load(recorded.resolve("latest"))
+        study = Study(StudyConfig(
+            faults=get_profile("chaos"), cache=True, cache_dir=str(cells),
+        ))
+        started = run.outcome["started"]
+        finished = run.outcome["finished"]
+        expected = {
+            "manifest": build_manifest(
+                study, targets=["table2"], started=started, finished=finished,
+            ),
+            "metrics": study_metrics_doc(study),
+            "outcome": study_outcome_doc(
+                study, started=started, finished=finished,
+            ),
+        }
+        for name, doc in expected.items():
+            # through JSON, as the ledger writes it
+            doc = json.loads(json.dumps(doc, sort_keys=True, default=str))
+            assert getattr(run, name) == doc, name
+
+    @pytest.mark.parametrize("flags", [["--faults", "bogus"], ["--runs", "0"]])
+    def test_bad_config_exits_2_before_stdout(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table2", *flags])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""

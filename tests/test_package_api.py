@@ -1,6 +1,10 @@
 """Public API surface tests: the imports the README promises."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,20 @@ class TestTopLevel:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_import_loads_only_the_version(self):
+        # the public names resolve on first use, so a bare import (and
+        # ``python -m repro table2``) loads neither numpy nor the model
+        code = (
+            "import sys, repro; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('repro', 'numpy')))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        )
+        assert proc.stdout.strip() == "['repro', 'repro._version']"
 
     def test_suite_versions_recorded(self):
         from repro._version import (
