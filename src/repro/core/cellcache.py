@@ -16,9 +16,8 @@ The key covers everything a cell's bytes can depend on:
 * the machine specification (full :class:`~repro.machines.base.Machine`
   record, recursively — any calibration or topology edit re-keys);
 * the benchmark configuration (every :class:`StudyConfig` field except
-  the execution-only knobs — ``jobs``/``cache``/``cache_dir`` and the
-  supervision knobs ``cell_timeout``/``max_cell_retries`` — which are
-  byte-neutral by the determinism contract of DESIGN.md 5e/5g);
+  the execution-only knobs ``jobs``/``cache``/``cache_dir``, which are
+  byte-neutral by the determinism contract of DESIGN.md 5e);
 * the seed derivation (the root seed is a config field; per-cell
   streams derive purely from ``(seed, cell path)``);
 * the fault plan (recursively, spec by spec);
@@ -31,8 +30,9 @@ The key covers everything a cell's bytes can depend on:
 
 Every entry is written atomically and durably — a fsynced temp file
 renamed into place, then the directory fsynced — as its cell completes,
-so a cache directory is also the resume point of an interrupted study
-(``--resume DIR`` is ``--cache-dir DIR``): a kill leaves only complete
+so a cache directory is also the resume point of an interrupted study,
+killed outright or ended by a dead ``--jobs`` worker (``--resume DIR``
+is ``--cache-dir DIR``): a kill leaves only complete
 entries plus, at worst, one orphaned ``*.pkl.tmp.<pid>`` file that no
 load ever reads.  Corrupt entries (truncated pickle, bad header) are a
 warning plus a recompute, never a crash; cache-directory write failures
@@ -65,9 +65,7 @@ CACHE_SCHEMA = 3
 #: StudyConfig knobs that steer *how* cells execute, not what they
 #: compute — byte-neutral by the determinism contract, so excluded
 #: from the key
-_EXECUTION_FIELDS = frozenset({
-    "jobs", "cache", "cache_dir", "cell_timeout", "max_cell_retries",
-})
+_EXECUTION_FIELDS = frozenset({"jobs", "cache", "cache_dir"})
 
 
 def default_cache_dir() -> Path:

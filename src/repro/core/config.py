@@ -43,13 +43,6 @@ class StudyConfig:
     cache: bool = False
     #: cache directory override (None = ``~/.cache/repro``)
     cache_dir: str | None = None
-    #: per-cell wall deadline under ``jobs`` > 1 (seconds); a worker
-    #: running one cell past it is killed and the cell retried.  None
-    #: (the default) disarms the deadline.
-    cell_timeout: float | None = None
-    #: extra dispatch attempts per cell after a worker crash/deadline
-    #: kill before the cell degrades to a ``—†`` marker
-    max_cell_retries: int = 2
 
     def __post_init__(self) -> None:
         if not isinstance(self.runs, int) or self.runs < 1:
@@ -90,24 +83,6 @@ class StudyConfig:
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise BenchmarkConfigError(
                 f"faults must be a FaultPlan or None: {self.faults!r}"
-            )
-        if self.cell_timeout is not None and (
-            not isinstance(self.cell_timeout, (int, float))
-            or isinstance(self.cell_timeout, bool)
-            or self.cell_timeout <= 0
-        ):
-            raise BenchmarkConfigError(
-                f"cell_timeout must be a positive number or None: "
-                f"{self.cell_timeout!r}"
-            )
-        if (
-            not isinstance(self.max_cell_retries, int)
-            or isinstance(self.max_cell_retries, bool)
-            or self.max_cell_retries < 0
-        ):
-            raise BenchmarkConfigError(
-                f"max_cell_retries must be an int >= 0: "
-                f"{self.max_cell_retries!r}"
             )
         sizes = self.latency_sweep_sizes
         if sizes is not None:

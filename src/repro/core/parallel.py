@@ -18,40 +18,35 @@ registry-machine cell runs, serial or parallel:
   tracer records, metric deltas, profiler counts) in a picklable
   :class:`CellOutcome`;
 * :class:`CellScheduler` computes each cell once — on request at
-  ``jobs`` 1, or per roster group through a
-  :class:`~repro.core.supervisor.CellSupervisor` (a supervised worker
-  pool that survives killed/stalled workers with bounded retries, wall
-  deadlines and pool rebuilds) above — serves and feeds the persistent
-  cell cache, and keeps every outcome; the owning
+  ``jobs`` 1, or per roster group on a process pool above — serves and
+  feeds the persistent cell cache, storing each outcome as it
+  completes, and keeps every outcome; the owning
   :class:`~repro.core.study.Study` then *consumes* an outcome on every
   request, in the order its builders request cells, so the resilience
   log, every ``study.*``/``sim.*`` metric, the trace ring and the
   rendered tables are byte-identical at any jobs count.
 
-Determinism contract (DESIGN.md 5e/5g): result values depend only on
+Determinism contract (DESIGN.md 5e): result values depend only on
 ``(seed, cell)``; merge effects depend only on consumption order, which
-the builders fix; host wall-times and the execution-layer instruments
-(``supervisor.*``, ``cache.*``) are the only fields that vary run to
-run, and every consumer treats them as advisory.
+the builders fix; host wall-times and the execution-layer ``cache.*``
+instruments are the only fields that vary run to run, and every
+consumer treats them as advisory.
 
-Process-level chaos (:class:`~repro.faults.models.WorkerCrash`,
-:class:`~repro.faults.models.WorkerStall`) is applied here, in
-:func:`execute_cell`, keyed on the cell's 1-based roster ordinal and
-dispatch attempt — and only when a supervised dispatch passes an
-ordinal, so the in-process path can never SIGKILL the parent.
+A worker process that dies breaks the pool: the run raises
+:class:`~repro.errors.CellExecutionError` naming the unfinished cells,
+and every finished cell is already in the cell cache, so a rerun on
+the same ``--resume DIR`` picks up where the run stopped (DESIGN.md 5g).
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..benchmarks.osu.runner import PairKind
-from ..errors import BenchmarkConfigError
-from ..faults.models import WorkerCrash, WorkerStall
+from ..errors import BenchmarkConfigError, CellExecutionError
 from ..machines.registry import (
     CPU_MACHINE_NAMES,
     GPU_MACHINE_NAMES,
@@ -173,31 +168,11 @@ class CellOutcome:
     wall_seconds: float = 0.0
 
 
-def _apply_worker_chaos(plan, ordinal: int, attempt: int) -> None:
-    """Fire any armed process-level chaos for this dispatch.
-
-    Stalls apply before crashes so a combined plan exercises the
-    deadline path first.  The crash is a real ``SIGKILL`` of the
-    current process — exactly the failure mode the supervisor exists
-    to contain — so this must only ever run inside a sacrificial
-    worker (``ordinal > 0`` guarantees a supervised dispatch).
-    """
-    for spec in plan.of_kind(WorkerStall):
-        if spec.fires(ordinal, attempt):
-            time.sleep(spec.seconds)
-    for spec in plan.of_kind(WorkerCrash):
-        if spec.fires(ordinal, attempt):
-            os.kill(os.getpid(), signal.SIGKILL)
-
-
 def execute_cell(
     config: "StudyConfig",
     task: CellTask,
     obs_enabled: bool,
     profile: bool,
-    *,
-    ordinal: int = 0,
-    attempt: int = 1,
 ) -> CellOutcome:
     """Run one cell in isolation (in-process at ``jobs`` 1, else the
     worker-process entry point).
@@ -209,12 +184,6 @@ def execute_cell(
     stay inside, the cell span and ``study.cell.*`` counters land in
     this call's own context, and the whole bundle ships home as one
     :class:`CellOutcome`.
-
-    ``ordinal``/``attempt`` identify a *supervised* dispatch (1-based
-    roster position and attempt number); they exist solely so armed
-    ``WorkerCrash``/``WorkerStall`` chaos can fire deterministically.
-    The default ``ordinal=0`` marks an in-process call and disarms
-    chaos entirely.
     """
     from .study import Study
 
@@ -224,10 +193,8 @@ def execute_cell(
         ObsContext.create(profile=profile, record_values=True)
         if obs_enabled else NULL_CONTEXT
     )
-    if ordinal and config.faults is not None:
-        _apply_worker_chaos(config.faults, ordinal, attempt)
-    # the scheduler/supervisor own this cell's telemetry (its start/done
-    # events); the null session here keeps Study._compute —
+    # the scheduler owns this cell's telemetry (its start/done events);
+    # the null session here keeps Study._compute —
     # and a forked worker, which inherits the parent's live session
     # *and* its open event-log fd — from emitting them a second time
     with live.telemetry(live.NULL_TELEMETRY), obs.observability(ctx):
@@ -257,10 +224,10 @@ class CellScheduler:
     At ``jobs`` 1 a cell is computed when it is first requested, in this
     process, and only that cell — a ``table5`` run never pays for
     Comm|Scope.  Above one job the first request for a CPU-class cell
-    computes *all* CPU-roster cells in one supervised pool pass
-    (likewise for the GPU roster), since the pool needs a batch to fan
-    out.  Either way the persistent cell cache (``config.cache``) is
-    consulted before computing and fed after.  Only registry machines
+    computes *all* CPU-roster cells in one pool pass (likewise for the
+    GPU roster), since the pool needs a batch to fan out.  Either way
+    the persistent cell cache (``config.cache``) is consulted before
+    computing and fed as each cell completes.  Only registry machines
     participate — :meth:`lookup` returns ``None`` for any other machine
     object, and the study runs that cell in-process.
     """
@@ -272,8 +239,6 @@ class CellScheduler:
         #: DIR`` is ``--cache-dir DIR``): consulted before computing a
         #: cell and fed with every freshly computed one
         self.cache = config.cell_cache()
-        #: one supervisor per pool pass, kept for stats()
-        self._supervisors: list = []
         self._outcomes: dict[tuple[str, ...], CellOutcome] = {}
         #: group -> {cell label: (1-based roster ordinal, task)}
         self._rosters: dict[str, dict] = {}
@@ -309,11 +274,8 @@ class CellScheduler:
 
     def _run(self, group: str, items: list) -> None:
         """Serve ``(roster ordinal, task)`` items from the cache or
-        compute them, keeping every outcome.
-
-        The ordinal is stable across cache hits, which is what keeps
-        chaos specs and resumed runs deterministic.
-        """
+        compute them, keeping every outcome and storing each computed
+        one in the cache as it completes."""
         ctx = obs.current()
         obs_enabled = bool(ctx.enabled)
         profile = ctx.profiler is not None
@@ -330,6 +292,8 @@ class CellScheduler:
                 "/".join(label), degraded=bool(outcome.degraded),
                 wall_seconds=outcome.wall_seconds, source=source,
             )
+            if source == "computed" and self.cache is not None:
+                self.cache.store(config, task, obs_enabled, profile, outcome)
 
         pending: list[tuple[int, CellTask]] = []
         for ordinal, task in items:
@@ -341,38 +305,67 @@ class CellScheduler:
             else:
                 keep(task, outcome, "cache")
 
-        def complete(ordinal: int, task: CellTask, outcome: CellOutcome,
-                     cacheable: bool) -> None:
-            keep(task, outcome, "computed")
-            # supervisor-degraded (host crash/deadline) outcomes are not
-            # cacheable: a host event must never poison the cache
-            if cacheable and self.cache is not None:
-                self.cache.store(config, task, obs_enabled, profile, outcome)
-
         if self.jobs > 1 and pending:
-            from .supervisor import CellSupervisor
-
-            supervisor = CellSupervisor(
-                config,
-                min(self.jobs, len(pending)),
-                cell_timeout=self.config.cell_timeout,
-                max_cell_retries=self.config.max_cell_retries,
-            )
-            self._supervisors.append(supervisor)
-            supervisor.run(pending, obs_enabled, profile, complete)
+            self._run_pool(config, pending, obs_enabled, profile, keep)
         else:
             # in-process through the worker entry point, so fresh and
-            # replayed outcomes merge identically; ordinal=0 keeps
-            # process chaos disarmed in this process
+            # replayed outcomes merge identically
             for ordinal, task in pending:
                 tel.cell_start("/".join(task.label()), ordinal=ordinal)
-                complete(ordinal, task,
-                         execute_cell(config, task, obs_enabled, profile),
-                         True)
+                keep(task, execute_cell(config, task, obs_enabled, profile),
+                     "computed")
         self.group_wall_seconds[group] = (
             self.group_wall_seconds.get(group, 0.0)
             + time.perf_counter() - started
         )
+
+    def _run_pool(self, config, pending: list, obs_enabled: bool,
+                  profile: bool, keep) -> None:
+        """Compute ``pending`` on a process pool, keeping each outcome
+        as it completes.
+
+        An exception a cell raises in its worker propagates unchanged.
+        A worker that dies breaks the pool; the cells that were still
+        unfinished are then named in a :class:`CellExecutionError`,
+        after every finished one has been kept (and cached).
+        """
+        # imported here: a run at --jobs 1 never loads the pool
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        tel = live.current()
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
+        try:
+            futures = {}
+            for ordinal, task in pending:
+                tel.cell_start("/".join(task.label()), ordinal=ordinal)
+                future = pool.submit(
+                    execute_cell, config, task, obs_enabled, profile
+                )
+                futures[future] = task
+            for future in as_completed(futures):
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    continue  # named below, with every unfinished cell
+                keep(futures[future], outcome, "computed")
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        unfinished = [
+            "/".join(task.label()) for _, task in pending
+            if task.label() not in self._outcomes
+        ]
+        if unfinished:
+            stored = (
+                f"; the finished cells are stored under "
+                f"{self.cache.directory}, and a rerun on that cache "
+                f"directory replays them"
+                if self.cache is not None else ""
+            )
+            raise CellExecutionError(
+                f"a worker process died; {len(unfinished)} cell(s) "
+                f"unfinished: {', '.join(unfinished)}{stored}"
+            )
 
     # -- the study-facing API ----------------------------------------------
     def lookup(self, machine, label: tuple[str, ...]) -> Optional[CellOutcome]:
@@ -404,15 +397,4 @@ class CellScheduler:
         }
         if self.cache is not None:
             out["cache"] = self.cache.stats()
-        if self.jobs > 1:
-            # always present under --jobs (zeros included) so the
-            # advisory fields are stable run to run
-            totals = {
-                "dispatched": 0, "retried": 0, "timeouts": 0,
-                "pool_rebuilds": 0, "degraded": 0,
-            }
-            for supervisor in self._supervisors:
-                for key, value in supervisor.stats.as_dict().items():
-                    totals[key] += value
-            out["supervisor"] = totals
         return out

@@ -9,10 +9,12 @@ trusting documentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import BenchmarkConfigError
-from .study import Study
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .study import Study
 
 
 @dataclass(frozen=True)
@@ -23,17 +25,26 @@ class ExperimentSpec:
     title: str
     paper_section: str          # where the artifact appears
     is_extension: bool
-    runner: Callable[[Study], str]
+    runner: Callable[["Study | None"], str]
 
-    def run(self, study: Study | None = None) -> str:
-        return self.runner(study or Study())
+    def run(self, study: "Study | None" = None) -> str:
+        """Regenerate the artifact.  Only an experiment that reads
+        benchmark cells builds a default :class:`Study`; a static one
+        (an inventory table, a topology figure) builds none."""
+        from ..harness.cli import CELL_TARGETS
+
+        if study is None and self.experiment_id in CELL_TARGETS:
+            from .study import Study
+
+            study = Study()
+        return self.runner(study)
 
 
 def _registry() -> dict[str, ExperimentSpec]:
     # imported lazily: the harness imports core
     from ..harness.cli import run_target
 
-    def via_cli(target: str) -> Callable[[Study], str]:
+    def via_cli(target: str) -> Callable[["Study | None"], str]:
         return lambda study: run_target(target, study)
 
     specs = [

@@ -93,7 +93,7 @@ class Study:
         self.injector = make_injector(self.config.faults, self.streams)
         self.resilience = ResilienceLog()
         #: computes each registry-machine cell once (in-process at
-        #: ``jobs`` 1, on supervised worker processes above) and serves
+        #: ``jobs`` 1, on worker processes above) and serves
         #: it from the persistent result cache when ``config.cache`` is
         #: armed
         self.scheduler = CellScheduler(self.config)

@@ -96,13 +96,15 @@ class BenchmarkConfigError(ReproError, ValueError):
 
 
 class CellExecutionError(RuntimeError):
-    """A benchmark cell raised a genuine bug (not an injected fault).
+    """A benchmark cell raised a genuine bug (not an injected fault), or
+    the worker process computing it died.
 
     Wraps the original exception with the cell's identity — machine,
     benchmark label and study seed — so a failure surfacing from a
     worker process names the cell instead of arriving as a bare pickled
-    traceback.  Deliberately *not* a :class:`ReproError`: programming
-    bugs must propagate, never degrade into a ``—†`` table cell."""
+    traceback; a dead worker names every cell its pool left unfinished.
+    Deliberately *not* a :class:`ReproError`: programming bugs and host
+    failures must propagate, never degrade into a ``—†`` table cell."""
 
 
 class ObservabilityError(RuntimeError):

@@ -4,8 +4,8 @@ Public surface:
 
 * :class:`FaultPlan` plus the spec dataclasses (:class:`MessageDrop`,
   :class:`LinkFault`, :class:`StragglerFault`, :class:`GpuFault`,
-  :class:`NodeFailure`, :class:`WorkerCrash`, :class:`WorkerStall`) —
-  declarative descriptions of what can go wrong;
+  :class:`NodeFailure`) — declarative descriptions of what can go
+  wrong;
 * :func:`get_profile` / :data:`PROFILES` — the named profiles the CLI
   exposes as ``--faults <name>``;
 * :class:`FaultInjector` / :func:`make_injector` — the runtime oracle
@@ -21,8 +21,6 @@ from .models import (
     MessageDrop,
     NodeFailure,
     StragglerFault,
-    WorkerCrash,
-    WorkerStall,
 )
 from .profiles import PROFILES, get_profile
 
@@ -39,8 +37,6 @@ __all__ = [
     "StragglerFault",
     "GpuFault",
     "NodeFailure",
-    "WorkerCrash",
-    "WorkerStall",
     "FaultInjector",
     "make_injector",
     "PROFILES",

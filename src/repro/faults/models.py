@@ -22,14 +22,6 @@ literature it builds on:
   ECC-retry stalls on DMA transfers.
 * :class:`NodeFailure` — a whole benchmark cell is lost; with retries
   exhausted the cell is reported as degraded rather than crashing.
-* :class:`WorkerCrash` / :class:`WorkerStall` — *process-level* chaos:
-  the worker process dispatched the ``at_cell``-th cell SIGKILLs itself
-  or stalls before computing.  Unlike every kind above these are not
-  simulated — they kill or hang real worker processes, so the
-  :class:`~repro.core.supervisor.CellSupervisor` recovery machinery is
-  exercised for real.  They fire deterministically (no probability
-  draw) and only under supervised dispatch (``--jobs`` > 1); the serial
-  in-process path never arms them, so it can never kill itself.
 """
 
 from __future__ import annotations
@@ -147,78 +139,7 @@ class NodeFailure:
         _check_probability("NodeFailure", self.probability)
 
 
-def _check_worker_target(name: str, at_cell: int, times: int) -> None:
-    if not isinstance(at_cell, int) or isinstance(at_cell, bool) or at_cell < 0:
-        raise FaultConfigError(
-            f"{name}: at_cell must be an int >= 0 (0 = disarmed): {at_cell!r}"
-        )
-    if not isinstance(times, int) or isinstance(times, bool) or times < 1:
-        raise FaultConfigError(
-            f"{name}: repeat count must be an int >= 1: {times!r}"
-        )
-
-
-@dataclass(frozen=True)
-class WorkerCrash:
-    """The worker dispatched the ``at_cell``-th cell of a group SIGKILLs
-    itself, for the first ``crashes`` attempts of that cell.
-
-    ``at_cell`` is the 1-based ordinal of the cell in its group roster
-    (:func:`~repro.core.parallel.plan_tasks` order) — stable across
-    cache hits, so the same cell crashes whether or not its siblings
-    were already cached.  ``at_cell=0`` disarms the spec.  Bounding by
-    ``crashes`` lets retries genuinely recover; set it above
-    ``max_cell_retries`` to force retry exhaustion.
-    """
-
-    at_cell: int = 0
-    crashes: int = 1
-
-    def __post_init__(self) -> None:
-        _check_worker_target("WorkerCrash", self.at_cell, self.crashes)
-
-    def fires(self, ordinal: int, attempt: int) -> bool:
-        return (
-            self.at_cell > 0
-            and ordinal == self.at_cell
-            and attempt <= self.crashes
-        )
-
-
-@dataclass(frozen=True)
-class WorkerStall:
-    """The worker dispatched the ``at_cell``-th cell sleeps ``seconds``
-    before computing, for the first ``stalls`` attempts of that cell.
-
-    With a per-cell deadline armed (``cell_timeout``) a stall beyond
-    the deadline gets the worker killed by the supervisor and the cell
-    re-dispatched; without one it is only added latency.  Ordinal
-    semantics match :class:`WorkerCrash`.
-    """
-
-    at_cell: int = 0
-    seconds: float = 30.0
-    stalls: int = 1
-
-    def __post_init__(self) -> None:
-        _check_worker_target("WorkerStall", self.at_cell, self.stalls)
-        if not isinstance(self.seconds, (int, float)) or self.seconds <= 0:
-            raise FaultConfigError(
-                f"WorkerStall: seconds must be > 0: {self.seconds!r}"
-            )
-
-    def fires(self, ordinal: int, attempt: int) -> bool:
-        return (
-            self.at_cell > 0
-            and ordinal == self.at_cell
-            and attempt <= self.stalls
-        )
-
-
-FaultSpec = (
-    MessageDrop | LinkFault | StragglerFault | GpuFault | NodeFailure
-    | WorkerCrash | WorkerStall
-)
+FaultSpec = MessageDrop | LinkFault | StragglerFault | GpuFault | NodeFailure
 
 
 @dataclass(frozen=True)
@@ -229,10 +150,8 @@ class FaultPlan:
     specs: tuple[FaultSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        allowed = (MessageDrop, LinkFault, StragglerFault, GpuFault,
-                   NodeFailure, WorkerCrash, WorkerStall)
         for spec in self.specs:
-            if not isinstance(spec, allowed):
+            if not isinstance(spec, FaultSpec):
                 raise FaultConfigError(f"unknown fault spec: {spec!r}")
 
     def of_kind(self, kind: type) -> tuple[FaultSpec, ...]:
@@ -247,10 +166,6 @@ class FaultPlan:
         for spec in self.specs:
             if isinstance(spec, LinkFault):
                 return False
-            if isinstance(spec, (WorkerCrash, WorkerStall)):
-                if spec.at_cell > 0:
-                    return False
-                continue
             if getattr(spec, "probability", 0.0) > 0.0:
                 return False
         return True

@@ -17,11 +17,6 @@ study sees a handful of injections:
 * node failure: large systems lose nodes daily, which per
   benchmark-cell-hour is small; ``chaos`` uses an exaggerated 30 % per
   attempt so retries and degraded-cell reporting are exercised.
-* worker crash/stall: ``chaos`` additionally SIGKILLs the worker that
-  draws the 3rd roster cell (once) and stalls the 7th briefly — real
-  process deaths, only under ``--jobs`` > 1 — so the supervisor's
-  pool-rebuild and retry machinery is exercised on the same profile
-  the byte-identity property tests run.
 
 ``smoke`` is the CI profile: every fault kind armed at rates that make
 injection near-certain within one short run, so the whole layer is
@@ -38,8 +33,6 @@ from .models import (
     MessageDrop,
     NodeFailure,
     StragglerFault,
-    WorkerCrash,
-    WorkerStall,
 )
 
 #: no faults: the default; must be byte-identical to running without a plan
@@ -65,7 +58,6 @@ LOSSY = FaultPlan(
 )
 
 #: everything at stress rates, including cell-killing node failures
-#: and real worker-process deaths (the latter fire only under --jobs)
 CHAOS = FaultPlan(
     name="chaos",
     specs=(
@@ -75,8 +67,6 @@ CHAOS = FaultPlan(
         LinkFault(start=0.5e-3, duration=2.0e-3, pattern="*",
                   bandwidth_factor=0.25, extra_latency=1.0e-6, down=False),
         NodeFailure(probability=0.30),
-        WorkerCrash(at_cell=3, crashes=1),
-        WorkerStall(at_cell=7, seconds=0.05, stalls=1),
     ),
 )
 

@@ -14,7 +14,6 @@ Usage::
     python -m repro table4 --profile     # per-subsystem event-loop profile
     python -m repro table6 --trace-out t.json --metrics-out m.json
     python -m repro table4 --jobs 4      # parallel cells, identical bytes
-    python -m repro table4 --jobs 4 --cell-timeout 120   # kill+retry slow cells
     python -m repro all --resume study.cells   # rerun replays finished cells
     python -m repro all --events-out events.jsonl   # structured run log
     python -m repro runs list            # ledgered run history
@@ -27,11 +26,10 @@ Usage::
 Under ``--faults <profile>`` individual benchmark cells may be killed by
 injected node failures; after bounded retries they are rendered as the
 ``—†`` degraded marker with a footnote, and the process exits with
-status 3 (completed, but degraded) instead of 0.  Under ``--jobs`` the
-same contract covers *host* failures: a crashed or stalled worker is
-retried in a rebuilt pool (``--max-cell-retries``), and only on
-exhaustion does the cell degrade — with a ``worker failure`` footnote
-and the same exit status 3.
+status 3 (completed, but degraded) instead of 0.  A run that raises
+exits 1: a bug in a cell, or under ``--jobs`` a worker process that
+died, which names the unfinished cells.  With ``--resume DIR`` every
+finished cell is already stored, and a rerun on DIR replays them.
 
 ``--trace-out``/``--metrics-out``/``--profile`` switch observability on
 for the run: spans, counters and the event-loop profiler flow to the
@@ -350,16 +348,6 @@ def main(argv: list[str] | None = None) -> int:
              "cells, byte-identical to an uninterrupted run",
     )
     parser.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall deadline under --jobs: a worker running one "
-             "cell past it is killed and the cell retried (default: none)",
-    )
-    parser.add_argument(
-        "--max-cell-retries", type=int, default=2, metavar="N",
-        help="extra dispatch attempts per cell after a worker crash or "
-             "deadline kill before the cell degrades to —† (default: 2)",
-    )
-    parser.add_argument(
         "--output", type=str, default="",
         help="write the (last) target's output to this file as well",
     )
@@ -379,8 +367,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--events-out", type=str, default="", metavar="FILE",
-        help="append one JSONL event per run transition (cell start/done, "
-             "crashes, cache hits) to FILE; crash-safe, schema "
+        help="append one JSONL event per run transition (run start/end, "
+             "cell start/done, cache hits) to FILE; crash-safe, schema "
              "repro.events/v1; stdout is unchanged",
     )
     parser.add_argument(
@@ -409,8 +397,6 @@ def main(argv: list[str] | None = None) -> int:
             runs=args.runs, seed=args.seed, exact=args.exact,
             faults=get_profile(args.faults), max_retries=args.max_retries,
             jobs=args.jobs, cache=cache, cache_dir=args.cache_dir or None,
-            cell_timeout=args.cell_timeout,
-            max_cell_retries=args.max_cell_retries,
         )
     except ReproError as exc:
         parser.error(str(exc))
@@ -522,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
         _stderr_report(f"wrote {args.output}", args.quiet)
     if config.faults_armed or resilience.degraded_count:
         # the summary goes to stderr so stdout stays pure table text;
-        # crash-degraded cells report even under --faults none
+        # watchdog-degraded cells report even under --faults none
         _stderr_report(resilience.summary(), args.quiet)
     if cell_cache is not None:
         stats = cell_cache.stats()
@@ -549,8 +535,7 @@ def main(argv: list[str] | None = None) -> int:
             text_summary(ctx.tracer, ctx.metrics, ctx.profiler), args.quiet
         )
     if resilience.degraded_count:
-        # injected faults *and* real worker failures land here: the
-        # tables rendered, but some cells carry the —† marker
+        # the tables rendered, but some cells carry the —† marker
         return EXIT_DEGRADED
     return 0
 

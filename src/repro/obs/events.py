@@ -1,14 +1,13 @@
 """Structured run events: a crash-safe JSONL log of what a study did.
 
-A long supervised study (``--jobs``, cache resume, chaos retries) is
-opaque while it runs: traces, metrics and attribution all render
-*after* exit.  This module is the machine-readable counterpart of the
-stderr reports — every state transition the scheduler, supervisor and
-cell cache go through is appended to an event log **as it happens**,
-one JSON object per line, flushed per line, so the log is valid after a
-kill at any byte offset (the worst case is one torn final line, which
-:func:`read_events` skips and counts — the :mod:`repro.obs.jsonl`
-discipline the run ledger's index shares).
+A long study (``--jobs``, cache resume) is opaque while it runs:
+traces, metrics and attribution all render *after* exit.  This module
+is the machine-readable counterpart of the stderr reports — every state
+transition the scheduler and cell cache go through is appended to an
+event log **as it happens**, one JSON object per line, flushed per
+line, so the log is valid after a kill at any byte offset (the worst
+case is one torn final line, which :func:`read_events` skips and counts
+— the :mod:`repro.obs.jsonl` discipline the run ledger's index shares).
 
 Event kinds (:data:`EVENT_KINDS`) form a small closed vocabulary with a
 stable schema tag (``repro.events/v1``):
@@ -19,12 +18,11 @@ stable schema tag (``repro.events/v1``):
   the end event, which the CLI emits from a ``finally`` block so even a
   raising or Ctrl-C'd run closes its event stream;
 * ``cell_start`` / ``cell_done`` / ``cell_degraded`` — one ``start``
-  per dispatch *attempt* of a cell and exactly one terminal event per
-  cell, so ``count(cell_start) >= count(cell_done) + count(cell_degraded)``
-  always and equality holds exactly when no attempt was retried;
+  per cell computation (its ``attempt`` attr is always 1) and exactly
+  one terminal event per finished cell; a run that a dead worker ended
+  leaves its unfinished cells started without a terminal event;
 * ``cache_hit`` — a cell served from the persistent cell cache (a
-  ``--resume`` directory included) instead of computed;
-* ``worker_crash`` / ``pool_rebuild`` — supervisor recovery activity.
+  ``--resume`` directory included) instead of computed.
 
 Events are *telemetry*, not results: timestamps are host wall-clock,
 sequence numbers are per-log, and nothing downstream of the determinism
@@ -55,8 +53,6 @@ EVENT_KINDS = frozenset({
     "cell_start",
     "cell_done",
     "cell_degraded",
-    "worker_crash",
-    "pool_rebuild",
     "cache_hit",
     "run_end",
 })

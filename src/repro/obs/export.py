@@ -135,12 +135,12 @@ def metrics_snapshot(registry) -> dict:
     }
 
 
-#: instrument namespaces that describe how a run *executed* — worker
-#: supervision, cache traffic — rather than what it computed.  They are advisory like host wall-times (DESIGN.md 5g):
-#: a crashed-and-recovered parallel run bumps ``supervisor.*`` while
+#: instrument namespaces that describe how a run *executed* — cache
+#: traffic — rather than what it computed.  They are advisory like host
+#: wall-times (DESIGN.md 5f): a warm run bumps ``cache.*`` while
 #: producing byte-identical simulation results, so determinism
 #: comparisons go through :func:`simulation_metrics` to exclude them.
-EXECUTION_NAMESPACES = ("supervisor.", "cache.")
+EXECUTION_NAMESPACES = ("cache.",)
 
 
 def simulation_metrics(snapshot: dict) -> dict:

@@ -1,7 +1,7 @@
 """Run telemetry: one notifier over the ``--events-out`` event log.
 
-The scheduler, supervisor and cell cache report every cell transition
-into the current :class:`RunTelemetry`, which appends the matching
+The scheduler and cell cache report every cell transition into the
+current :class:`RunTelemetry`, which appends the matching
 structured event (:mod:`repro.obs.events`).  Besides the log the
 session keeps only what the run's closing records need: the targets and
 start time the artifact manifest reads, and a label → state map from
@@ -27,10 +27,10 @@ from .events import EventLog
 class RunTelemetry:
     """One run's telemetry session: a notifier over one event log.
 
-    The supervised dispatch path calls these from the parent process
-    only — workers stay telemetry-free, which keeps the event stream
-    totally ordered without cross-process locks, and the state map
-    without a lock of its own.
+    The scheduler calls these from the parent process only — workers
+    stay telemetry-free, which keeps the event stream totally ordered
+    without cross-process locks, and the state map without a lock of
+    its own.
     """
 
     enabled = True
@@ -82,11 +82,11 @@ class RunTelemetry:
         for label in labels:
             self._cells.setdefault(label, "pending")
 
-    def cell_start(self, cell: str, ordinal: int = 0, attempt: int = 1) -> None:
+    def cell_start(self, cell: str, ordinal: int = 0) -> None:
+        # ``attempt`` stays in the event for the repro.events/v1 layout;
+        # a cell is computed once per run
         self._cells[cell] = "running"
-        self.events.emit(
-            "cell_start", cell=cell, ordinal=ordinal, attempt=attempt
-        )
+        self.events.emit("cell_start", cell=cell, ordinal=ordinal, attempt=1)
 
     def cell_done(
         self,
@@ -103,13 +103,6 @@ class RunTelemetry:
 
     def cache_hit(self, cell: str) -> None:
         self.events.emit("cache_hit", cell=cell)
-
-    # -- supervisor recovery -----------------------------------------------
-    def worker_crash(self, cell: str, detail: str = "") -> None:
-        self.events.emit("worker_crash", cell=cell, detail=detail)
-
-    def pool_rebuild(self, count: int) -> None:
-        self.events.emit("pool_rebuild", count=count)
 
 
 class NullRunTelemetry:
@@ -130,7 +123,7 @@ class NullRunTelemetry:
     def cells_planned(self, labels) -> None:
         pass
 
-    def cell_start(self, cell, ordinal=0, attempt=1) -> None:
+    def cell_start(self, cell, ordinal=0) -> None:
         pass
 
     def cell_done(self, cell, degraded, wall_seconds=0.0,
@@ -138,12 +131,6 @@ class NullRunTelemetry:
         pass
 
     def cache_hit(self, cell) -> None:
-        pass
-
-    def worker_crash(self, cell, detail="") -> None:
-        pass
-
-    def pool_rebuild(self, count) -> None:
         pass
 
 

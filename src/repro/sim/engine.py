@@ -10,35 +10,14 @@ The implementation is deliberately small but complete enough to express
 everything the hardware models need: timeouts, processes as events
 (join semantics), interrupts, and ``AllOf``/``AnyOf`` composition.
 
-Hot-path fast paths (DESIGN.md 5f)
-----------------------------------
-The paper's protocol multiplies out to millions of heap pushes and pops
-per study, so per-event overhead dominates host time.  Three engine
-fast paths cut it without changing a single scheduling decision:
-
-* every event class uses ``__slots__`` (no per-instance dict);
-* a one-entry *fast lane* buffers the most recently scheduled minimum
-  entry so the schedule-then-immediately-pop pattern of tight ping-pong
-  loops skips the heap entirely — pops always take the true global
-  minimum of ``heap + fast lane``, so processing order is exactly the
-  ``(time, priority, sequence)`` contract, and sequence numbers advance
-  identically (the profiler hook and fault injector see the same event
-  stream);
-* processed :class:`Timeout` objects are pooled and reused, but only
-  when a refcount check proves the engine holds the sole remaining
-  reference — an object anyone else can still observe is never
-  recycled.
-
-``REPRO_DISABLE_FASTPATH=1`` in the environment disables the fast lane
-and the timeout pool (``__slots__`` stays; it is not observable), which
-is the escape hatch the byte-identity tests diff against.
+Every event class declares ``__slots__`` (DESIGN.md 5f): the paper's
+protocol multiplies out to millions of heap pushes and pops per study,
+and a per-instance dict on each of them was measurable.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-import sys
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -53,28 +32,6 @@ URGENT = 0
 #: process-wide profiler hook (see repro.obs.profiler.SimProfiler);
 #: None keeps step() on the exact unprofiled path
 _PROFILER = None
-
-
-def _fastpath_from_env() -> bool:
-    return os.environ.get("REPRO_DISABLE_FASTPATH", "").strip().lower() not in (
-        "1", "true", "yes", "on"
-    )
-
-
-#: fast lane + timeout pooling switch (import-time; escape hatch for the
-#: byte-identity tests)
-_FASTPATH = _fastpath_from_env()
-#: timeout pooling additionally needs CPython's exact refcounts
-_POOLING = _FASTPATH and sys.implementation.name == "cpython"
-#: retained recycled timeouts per environment
-_POOL_MAX = 64
-
-_getrefcount = sys.getrefcount
-
-
-def fastpath_enabled() -> bool:
-    """Whether the engine fast paths are active in this process."""
-    return _FASTPATH
 
 
 def set_profiler(profiler) -> object:
@@ -394,16 +351,9 @@ class AnyOf(Condition):
 
 
 class Environment:
-    """The simulation kernel: a clock and an event heap.
+    """The simulation kernel: a clock and an event heap."""
 
-    With the fast path enabled the pending set is ``heap + fast lane``:
-    ``_fast`` holds at most one entry — always replaced such that a pop
-    compares it against the heap top and takes the true global minimum,
-    so the processed order is bit-for-bit the plain-heap order.
-    """
-
-    __slots__ = ("now", "_queue", "_seq", "_active_process", "_processes",
-                 "_fast", "_timeout_pool")
+    __slots__ = ("now", "_queue", "_seq", "_active_process", "_processes")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         #: current simulated time in seconds.  A plain slot, not a
@@ -417,10 +367,6 @@ class Environment:
         #: insertion-ordered registry of processes whose coroutine has
         #: not finished; used by deadlock/watchdog diagnostics
         self._processes: dict[Process, None] = {}
-        #: fast-lane entry (time, priority, seq, event) not yet heaped
-        self._fast: Optional[tuple[float, int, int, Event]] = None
-        #: recycled Timeout objects (sole-reference proven; see step())
-        self._timeout_pool: list[Timeout] = []
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -431,21 +377,6 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        pool = self._timeout_pool
-        if pool:
-            # reuse a recycled Timeout: identical construction semantics
-            # (validation first, then field init, then scheduling)
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay}")
-            event = pool.pop()
-            event.callbacks = []
-            event._value = value
-            event._ok = True
-            event._defused = False
-            event._scheduled = False
-            event.delay = delay
-            self._schedule(event, NORMAL, delay)
-            return event
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -461,30 +392,13 @@ class Environment:
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
         event._scheduled = True
         self._seq += 1
-        entry = (self.now + delay, priority, self._seq, event)
-        if _FASTPATH:
-            fast = self._fast
-            if fast is None:
-                self._fast = entry
-                return
-            if entry < fast:
-                # keep the smaller of the two in the lane; sequence
-                # numbers are unique so the comparison never ties
-                self._fast = entry
-                entry = fast
-        heapq.heappush(self._queue, entry)
-
-    def _empty(self) -> bool:
-        return self._fast is None and not self._queue
+        heapq.heappush(
+            self._queue, (self.now + delay, priority, self._seq, event)
+        )
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        fast = self._fast
         queue = self._queue
-        if fast is not None:
-            if queue and queue[0][0] < fast[0]:
-                return queue[0][0]
-            return fast[0]
         return queue[0][0] if queue else float("inf")
 
     # -- diagnostics --------------------------------------------------------
@@ -510,17 +424,10 @@ class Environment:
     def step(self) -> None:
         """Process exactly one event (the global minimum of the pending
         set, in ``(time, priority, sequence)`` order)."""
-        fast = self._fast
         queue = self._queue
-        if fast is not None and (not queue or fast < queue[0]):
-            self._fast = None
-            entry = fast
-        elif queue:
-            entry = heapq.heappop(queue)
-        else:
+        if not queue:
             raise self._deadlock("event queue empty")
-        when = entry[0]
-        event = entry[3]
+        when, _, _, event = heapq.heappop(queue)
         if when < self.now:
             raise SimulationError("time went backwards")
         self.now = when
@@ -537,17 +444,6 @@ class Environment:
         if not event._ok and not event._defused:
             exc = event._value
             raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
-        if _POOLING and type(event) is Timeout:
-            # Recycle only when the refcount proves this frame holds the
-            # sole remaining reference (entry/fast tuples dropped first)
-            # — an object any waiter could still observe never re-enters
-            # circulation, so reuse is unobservable.
-            entry = fast = None  # noqa: F841 - drop tuple references
-            if _getrefcount(event) == 2:
-                pool = self._timeout_pool
-                if len(pool) < _POOL_MAX:
-                    event._value = None
-                    pool.append(event)
 
     def run(
         self,
@@ -578,10 +474,11 @@ class Environment:
         budget = max_events if max_events is not None else float("inf")
         monotonic = time.monotonic
         step = self.step
+        queue = self._queue
         processed = 0
 
         if until is None:
-            while self._queue or self._fast is not None:
+            while queue:
                 processed += 1
                 if processed > budget:
                     raise self._watchdog(
@@ -606,7 +503,7 @@ class Environment:
             else:
                 until.callbacks.append(_done)
             while not sentinel:
-                if self._fast is None and not self._queue:
+                if not queue:
                     raise self._deadlock(
                         "event queue drained before the awaited event triggered"
                     )
@@ -631,7 +528,7 @@ class Environment:
         horizon = float(until)
         if horizon < self.now:
             raise SimulationError(f"horizon {horizon} is in the past (now={self.now})")
-        while (self._queue or self._fast is not None) and self.peek() <= horizon:
+        while queue and queue[0][0] <= horizon:
             processed += 1
             if processed > budget:
                 raise self._watchdog(

@@ -73,12 +73,6 @@ class TestKey:
             replace(config, cache=True, cache_dir="/elsewhere"),
             task, False, False,
         )[0] == digest
-        # supervision knobs are execution-only too: a deadline-armed
-        # run must keep hitting the same entries
-        assert cell_key(
-            replace(config, cell_timeout=30.0, max_cell_retries=5),
-            task, False, False,
-        )[0] == digest
 
 
 class TestHitMiss:

@@ -1,5 +1,10 @@
 """Tests for the experiment-spec registry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.spec import (
@@ -57,6 +62,27 @@ class TestRunners:
         study = Study(StudyConfig(runs=2, seed=1))
         for spec in paper_artifacts():
             assert get_experiment(spec.experiment_id).run(study)
+
+    def test_static_specs_build_no_study(self, tmp_path):
+        # with numpy blocked, the static paper specs and the inter-node
+        # extension run without a study argument and never load one
+        static = ["table1", "table2", "table3", "table8", "table9",
+                  "figure1", "figure2", "figure3", "ext-internode"]
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.core.spec import get_experiment\n"
+            f"for spec_id in {static!r}:\n"
+            "    assert get_experiment(spec_id).run(), spec_id\n"
+            "assert 'repro.core.study' not in sys.modules\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPerlmutter80GB:

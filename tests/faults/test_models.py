@@ -10,8 +10,6 @@ from repro.faults import (
     MessageDrop,
     NodeFailure,
     StragglerFault,
-    WorkerCrash,
-    WorkerStall,
     get_profile,
     PROFILES,
 )
@@ -63,36 +61,6 @@ class TestSpecValidation:
         with pytest.raises(FaultConfigError):
             GpuFault(probability=0.1, memcpy_stall=-1.0)
 
-    def test_worker_crash_validation(self):
-        with pytest.raises(FaultConfigError):
-            WorkerCrash(at_cell=-1)
-        with pytest.raises(FaultConfigError):
-            WorkerCrash(at_cell=True)
-        with pytest.raises(FaultConfigError):
-            WorkerCrash(at_cell=1, crashes=0)
-        WorkerCrash()  # disarmed default is valid
-        WorkerCrash(at_cell=3, crashes=2)
-
-    def test_worker_stall_validation(self):
-        with pytest.raises(FaultConfigError):
-            WorkerStall(at_cell=1, seconds=0.0)
-        with pytest.raises(FaultConfigError):
-            WorkerStall(at_cell=1, stalls=0)
-        WorkerStall(at_cell=1, seconds=0.5)
-
-    def test_worker_fires_truth_table(self):
-        crash = WorkerCrash(at_cell=3, crashes=2)
-        assert crash.fires(ordinal=3, attempt=1)
-        assert crash.fires(ordinal=3, attempt=2)
-        assert not crash.fires(ordinal=3, attempt=3)  # bounded: recovery
-        assert not crash.fires(ordinal=2, attempt=1)  # wrong cell
-        # disarmed specs never fire, and ordinal=0 (in-process) never hits
-        assert not WorkerCrash().fires(ordinal=0, attempt=1)
-        assert not WorkerCrash().fires(ordinal=1, attempt=1)
-        stall = WorkerStall(at_cell=7, seconds=0.1, stalls=1)
-        assert stall.fires(ordinal=7, attempt=1)
-        assert not stall.fires(ordinal=7, attempt=2)
-
 
 class TestFaultPlan:
     def test_rejects_unknown_spec(self):
@@ -106,13 +74,6 @@ class TestFaultPlan:
         # LinkFault windows are deterministic: never null
         assert not FaultPlan(
             "w", (LinkFault(start=0, duration=1, bandwidth_factor=0.5),)
-        ).is_null()
-
-    def test_worker_kinds_null_only_when_disarmed(self):
-        assert FaultPlan("z", (WorkerCrash(), WorkerStall())).is_null()
-        assert not FaultPlan("c", (WorkerCrash(at_cell=1),)).is_null()
-        assert not FaultPlan(
-            "s", (WorkerStall(at_cell=1, seconds=0.1),)
         ).is_null()
 
     def test_of_kind_and_link_faults_for(self):
@@ -144,12 +105,3 @@ class TestProfiles:
         assert get_profile("none").is_null()
         for name in ("noisy", "lossy", "chaos", "smoke"):
             assert not get_profile(name).is_null(), name
-
-    def test_chaos_carries_armed_worker_kinds(self):
-        chaos = get_profile("chaos")
-        assert any(s.at_cell > 0 for s in chaos.of_kind(WorkerCrash))
-        assert any(s.at_cell > 0 for s in chaos.of_kind(WorkerStall))
-        # smoke stays process-level-clean: it runs in serial CI contexts
-        smoke = get_profile("smoke")
-        assert not smoke.of_kind(WorkerCrash)
-        assert not smoke.of_kind(WorkerStall)

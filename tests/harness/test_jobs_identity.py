@@ -1,11 +1,9 @@
-"""Byte-identity of the engine fast paths (the hot-path contract).
+"""``--jobs 4`` against ``--jobs 1``: every output byte, fresh processes.
 
-The engine optimizations — ``__slots__``, the fast lane, timeout
-pooling, the immediate-callback path — must be pure execution details:
-``REPRO_DISABLE_FASTPATH=1`` runs the same study through the
-unoptimized scheduling path, and every observable byte (table stdout,
-the artifact bundle, the metrics JSON) must match.  The switch is read
-at engine import, so each side runs in its own subprocess.
+Each side is a full ``python -m repro`` run in its own interpreter, so
+the parallel side forks its process pool from a clean parent, as a
+user's run does.  Table stdout, the metrics JSON and the artifact
+bundle must match byte for byte.
 """
 
 import json
@@ -16,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-pytestmark = pytest.mark.fastpath
+pytestmark = pytest.mark.parallel
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -31,17 +29,14 @@ INPUTS = (
 
 
 def _run(
-    tmp_path: Path, targets: list[str], fastpath: bool, jobs: int
+    tmp_path: Path, targets: list[str], jobs: int
 ) -> tuple[str, dict, dict]:
     """One full CLI pass over ``targets``; returns (stdout, metrics doc,
     bundle bytes, empty without an ``artifacts`` target)."""
-    workdir = tmp_path / f"{targets[0]}-fp{int(fastpath)}-j{jobs}"
+    workdir = tmp_path / f"{targets[0]}-j{jobs}"
     workdir.mkdir()
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_DISABLE_FASTPATH", None)
-    if not fastpath:
-        env["REPRO_DISABLE_FASTPATH"] = "1"
     proc = subprocess.run(
         [sys.executable, "-m", "repro", *targets, "--jobs", str(jobs),
          "--metrics-out", "metrics.json", "--quiet"],
@@ -58,15 +53,12 @@ def _run(
     return proc.stdout, metrics, bundle
 
 
-class TestFastpathByteIdentity:
-    def test_disable_fastpath_is_byte_identical_serial_and_parallel(
-        self, tmp_path
-    ):
+class TestJobsByteIdentity:
+    def test_jobs_4_matches_jobs_1(self, tmp_path):
         for targets in INPUTS:
-            reference = _run(tmp_path, targets, fastpath=True, jobs=1)
-            for fastpath, jobs in ((False, 1), (True, 4), (False, 4)):
-                stdout, metrics, bundle = _run(tmp_path, targets, fastpath, jobs)
-                label = f"{' '.join(targets)}: fastpath={fastpath} jobs={jobs}"
-                assert stdout == reference[0], f"stdout drifted ({label})"
-                assert metrics == reference[1], f"metrics drifted ({label})"
-                assert bundle == reference[2], f"artifacts drifted ({label})"
+            serial = _run(tmp_path, targets, jobs=1)
+            stdout, metrics, bundle = _run(tmp_path, targets, jobs=4)
+            label = " ".join(targets)
+            assert stdout == serial[0], f"stdout drifted ({label})"
+            assert metrics == serial[1], f"metrics drifted ({label})"
+            assert bundle == serial[2], f"artifacts drifted ({label})"

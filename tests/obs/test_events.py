@@ -1,11 +1,10 @@
 """Structured event log: schema, crash safety, study-level invariants.
 
-The golden tests run a real two-machine study (clean, cached and
-chaos-supervised) through a live telemetry session and check the JSONL
-stream shape: one ``run_start``/``run_end`` pair, one ``cell_start``
-per dispatch attempt, exactly one terminal event per cell, and the
-count identity ``cell_start == cell_done + cell_degraded`` on any
-retry-free run.
+The golden tests run a real two-machine study (clean and cached)
+through a live telemetry session and check the JSONL stream shape: one
+``run_start``/``run_end`` pair, one ``cell_start`` per computed cell,
+exactly one terminal event per cell, and the count identity
+``cell_start == cell_done + cell_degraded``.
 """
 
 import json
@@ -14,7 +13,6 @@ import pytest
 
 from repro.core.study import Study, StudyConfig
 from repro.core.tables import build_table4
-from repro.faults import FaultPlan, WorkerCrash
 from repro.machines.registry import get_machine
 from repro.obs import live
 from repro.obs.events import (
@@ -30,16 +28,14 @@ pytestmark = pytest.mark.live
 TWO_MACHINES = ["sawtooth", "manzano"]
 
 
-def _run_study(events_path, *, jobs=1, faults=None, cache_dir=None,
-               max_cell_retries=2):
+def _run_study(events_path, *, jobs=1, cache_dir=None):
     session = live.RunTelemetry(events=EventLog(events_path))
     with live.telemetry(session):
         session.run_start(["table4"], jobs, 11)
         study = Study(StudyConfig(
-            runs=2, seed=11, jobs=jobs, faults=faults,
+            runs=2, seed=11, jobs=jobs,
             cache=cache_dir is not None,
             cache_dir=str(cache_dir) if cache_dir else None,
-            max_cell_retries=max_cell_retries,
         ))
         text = build_table4(
             study, machines=[get_machine(key) for key in TWO_MACHINES]
@@ -166,31 +162,6 @@ class TestGoldenStudies:
         )
         assert check_invariants(events) == []
 
-    @pytest.mark.chaos
-    def test_chaos_study_records_recovery_events(self, tmp_path):
-        plan = FaultPlan("ev-chaos", (WorkerCrash(at_cell=2, crashes=1),))
-        study, _ = _run_study(tmp_path / "ev.jsonl", jobs=2, faults=plan)
-        events, skipped = read_events(tmp_path / "ev.jsonl")
-        assert skipped == 0
-        kinds = _kinds(events)
-        assert kinds.get("worker_crash", 0) >= 1
-        assert kinds.get("pool_rebuild", 0) >= 1
-        # the killed dispatch re-starts, so starts exceed terminals
-        terminals = kinds.get("cell_done", 0) + kinds.get("cell_degraded", 0)
-        assert kinds["cell_start"] > terminals
-        assert kinds.get("cell_degraded", 0) == 0
-        assert check_invariants(events) == []
-
-    @pytest.mark.chaos
-    def test_exhausted_cell_emits_cell_degraded(self, tmp_path):
-        plan = FaultPlan("ev-chaos", (WorkerCrash(at_cell=1, crashes=99),))
-        _run_study(tmp_path / "ev.jsonl", jobs=2, faults=plan,
-                   max_cell_retries=1)
-        events, _ = read_events(tmp_path / "ev.jsonl")
-        kinds = _kinds(events)
-        assert kinds.get("cell_degraded", 0) == 1
-        assert check_invariants(events) == []
-
 
 class TestInvariantChecker:
     def _event(self, seq, kind, **attrs):
@@ -220,7 +191,7 @@ class TestInvariantChecker:
     def test_vocabulary_is_closed(self):
         assert EVENT_KINDS == {
             "run_start", "cell_start", "cell_done", "cell_degraded",
-            "worker_crash", "pool_rebuild", "cache_hit", "run_end",
+            "cache_hit", "run_end",
         }
 
 

@@ -19,8 +19,6 @@ class TestRunTelemetrySession:
         NULL_TELEMETRY.cell_start("a")
         NULL_TELEMETRY.cell_done("a", degraded=False)
         NULL_TELEMETRY.cache_hit("a")
-        NULL_TELEMETRY.worker_crash("a")
-        NULL_TELEMETRY.pool_rebuild(1)
         NULL_TELEMETRY.run_end()
         NULL_TELEMETRY.close()
 

@@ -1,127 +1,25 @@
-"""Chaos properties: crashed workers and killed runs leave no trace.
+"""Resume properties: a killed run, or one a dead worker ended, leaves
+no trace.
 
-Two acceptance contracts (DESIGN.md 5g):
-
-* **crash transparency** — a run whose workers are deterministically
-  SIGKILLed mid-study (``WorkerCrash``) renders tables, resilience
-  logs, artifacts and simulation metrics byte-identical to a clean
-  serial run at any jobs count; the only evidence is the advisory
-  ``supervisor.*`` instruments.
-* **resume transparency** — a study killed partway (simulated by
-  deleting some entries of its ``--resume`` cache directory and
-  leaving a half-written temp file behind) and rerun on the same
-  directory replays the stored cells, recomputes the rest, and emits
-  byte-identical final output.
+The acceptance contract (DESIGN.md 5g): a study killed partway
+(simulated by deleting some entries of its ``--resume`` cache directory
+and leaving a half-written temp file behind), or ended by a worker
+process that died under ``--jobs``, and rerun on the same directory
+replays the stored cells, recomputes the rest, and emits byte-identical
+final output.
 """
 
+import multiprocessing
+import os
+import signal
 import warnings
 from pathlib import Path
 
 import pytest
 
-from repro.core.study import Study, StudyConfig
-from repro.core.tables import build_table4, build_table5, render_table4
-from repro.faults import FaultPlan, WorkerCrash, WorkerStall
 from repro.harness.cli import main
-from repro.obs import ObsContext, metrics_snapshot, simulation_metrics
-from repro.obs import runtime as obs
 
 pytestmark = pytest.mark.chaos
-
-CRASH_PLAN = FaultPlan(
-    "crash-only",
-    (WorkerCrash(at_cell=3, crashes=1), WorkerCrash(at_cell=11, crashes=2)),
-)
-
-
-def _outputs(jobs: int, plan=None):
-    ctx = ObsContext.create()
-    with obs.observability(ctx):
-        study = Study(StudyConfig(runs=2, seed=404, jobs=jobs, faults=plan))
-        tables = (build_table4(study), build_table5(study))
-    return {
-        "tables": tables,
-        "resilience": list(study.resilience.entries),
-        "metrics": simulation_metrics(metrics_snapshot(ctx.metrics)),
-        "supervisor": (study.parallel_stats() or {}).get("supervisor"),
-    }
-
-
-class TestCrashTransparency:
-    @pytest.fixture(scope="class")
-    def clean_serial(self):
-        return _outputs(1)
-
-    @pytest.mark.parametrize("jobs", (2, 4))
-    def test_killed_workers_leave_identical_bytes(self, clean_serial, jobs):
-        chaotic = _outputs(jobs, plan=CRASH_PLAN)
-        assert chaotic["tables"] == clean_serial["tables"]
-        assert chaotic["resilience"] == []
-        assert chaotic["metrics"] == clean_serial["metrics"]
-        # ...and the crashes really happened
-        assert chaotic["supervisor"]["retried"] >= 1
-        assert chaotic["supervisor"]["pool_rebuilds"] >= 1
-
-    def test_stall_under_deadline_leaves_identical_bytes(self, clean_serial):
-        plan = FaultPlan("stall-only", (WorkerStall(at_cell=2, seconds=30.0),))
-        ctx = ObsContext.create()
-        with obs.observability(ctx):
-            study = Study(StudyConfig(
-                runs=2, seed=404, jobs=2, faults=plan, cell_timeout=1.0,
-            ))
-            tables = (build_table4(study), build_table5(study))
-        assert tables == clean_serial["tables"]
-        assert study.parallel_stats()["supervisor"]["timeouts"] >= 1
-
-    def test_exhausted_cell_degrades_with_footnote(self):
-        plan = FaultPlan("crash-only", (WorkerCrash(at_cell=1, crashes=99),))
-        study = Study(StudyConfig(
-            runs=2, seed=404, jobs=2, faults=plan, max_cell_retries=1,
-        ))
-        text = render_table4(build_table4(study))
-        assert "—†" in text
-        entry = study.resilience.entries[0]
-        assert "worker failure" in entry.reason
-        assert entry.attempts == 2
-
-    def test_exhaustion_exits_3_from_the_cli(self, capsys, tmp_path,
-                                             monkeypatch):
-        # crash-degraded runs reuse the degraded exit status: the tables
-        # rendered, but some cells carry the —† marker
-        from repro.faults import profiles
-
-        plan = FaultPlan("crash-only", (WorkerCrash(at_cell=1, crashes=99),))
-        monkeypatch.setitem(profiles.PROFILES, "crash-test", plan)
-        code = main(["table4", "--runs", "2", "--jobs", "2",
-                     "--faults", "crash-test", "--max-cell-retries", "0"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert "worker failure" in captured.err
-
-
-class TestArtifactTransparency:
-    def _bundle(self, capsys, tmp_path, name, argv):
-        out = tmp_path / name
-        assert main(["artifacts", "--runs", "2",
-                     "--output", str(out), *argv]) == 0
-        capsys.readouterr()
-        return {
-            p.relative_to(out).as_posix(): p.read_bytes()
-            for p in out.rglob("*") if p.is_file()
-        }
-
-    def test_crashy_bundle_matches_clean_serial(self, capsys, tmp_path,
-                                                monkeypatch):
-        from repro.faults import profiles
-
-        clean = self._bundle(capsys, tmp_path, "clean", [])
-        # route a crash-only plan through the CLI via a patched profile
-        monkeypatch.setitem(profiles.PROFILES, "crash-test", CRASH_PLAN)
-        crashy = self._bundle(capsys, tmp_path, "crashy",
-                              ["--jobs", "2", "--faults", "crash-test"])
-        assert set(crashy) == set(clean)
-        for relpath in sorted(clean):
-            assert crashy[relpath] == clean[relpath], relpath
 
 
 class TestResumeTransparency:
@@ -164,21 +62,57 @@ class TestResumeTransparency:
         assert again_out == full_out
         assert f"{stored} hit(s), 0 miss(es), 0 store(s)" in err
 
-    def test_resume_composes_with_jobs_and_crashes(self, capsys, tmp_path,
-                                                   monkeypatch):
-        from repro.faults import profiles
-
-        monkeypatch.setitem(profiles.PROFILES, "crash-test", CRASH_PLAN)
-        chaos = ["--jobs", "2", "--faults", "crash-test"]
+    def test_resume_composes_with_jobs_and_crashes(self, capsys, tmp_path):
+        jobs = ["--jobs", "2"]
         directory = tmp_path / "study.cells"
-        code_a, full_out, _ = self._run(capsys, directory, chaos)
+        code_a, full_out, _ = self._run(capsys, directory, jobs)
         assert code_a == 0
 
         self._interrupt(directory, keep=5)
-        code_b, resumed_out, err = self._run(capsys, directory, chaos)
+        code_b, resumed_out, err = self._run(capsys, directory, jobs)
         assert code_b == 0
         assert resumed_out == full_out
         assert "cell cache: 5 hit(s)" in err
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the worker must inherit the patched CellTask.run_on",
+    )
+    def test_dead_worker_ends_the_run_and_resume_finishes_it(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.core.parallel import CellTask
+        from repro.errors import CellExecutionError
+
+        assert main(["table4", "table5", "--runs", "2"]) == 0
+        clean_out = capsys.readouterr().out
+
+        parent = os.getpid()
+        real_run_on = CellTask.run_on
+
+        def run_on(task, study):
+            # SIGKILL the worker that computes this one cell
+            if (os.getpid() != parent
+                    and task.label() == ("Trinity", "osu", "on-node")):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_run_on(task, study)
+
+        directory = tmp_path / "study.cells"
+        monkeypatch.setattr(CellTask, "run_on", run_on)
+        with pytest.raises(CellExecutionError) as excinfo:
+            self._run(capsys, directory, ["--jobs", "2"])
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert "Trinity/osu/on-node" in str(excinfo.value)
+        # the cells that finished before the worker died are stored;
+        # the rest of the 20-cell CPU roster and the GPU roster are not
+        stored = len(list(directory.glob("*.pkl")))
+        assert 0 < stored < 20
+
+        code, resumed_out, err = self._run(capsys, directory)
+        assert code == 0
+        assert resumed_out == clean_out
+        assert f"cell cache: {stored} hit(s)" in err
 
     def test_old_journal_file_runs_uncached_with_one_warning(self, capsys,
                                                              tmp_path):

@@ -7,12 +7,9 @@ histogram are *exactly* equal to the serial run, not statistically
 close.  These tests pin that with full-roster table builds, both clean
 and under a seeded fault plan that degrades real cells.
 
-The chaos profile additionally SIGKILLs/stalls real workers at fixed
-cells (DESIGN.md 5g), so its parallel legs also prove crash *recovery*
-preserves the contract.  Equality is asserted on
-:func:`simulation_metrics` — the execution-layer instruments
-(``supervisor.*``/``checkpoint.*``/``cache.*``) record how a run
-executed on this host and are advisory, like wall times.
+Equality is asserted on :func:`simulation_metrics` — the
+execution-layer ``cache.*`` instruments record how a run executed on
+this host and are advisory, like wall times.
 """
 
 import pytest
