@@ -5,11 +5,11 @@ tweak a table renderer, regenerate, diff — yet every regeneration pays
 for the full discrete-event protocol again.  This module short-circuits
 that: a completed :class:`~repro.core.parallel.CellOutcome` (result,
 resilience entries, tracer records, metric deltas — everything the
-merge path replays) is pickled under a content-addressed key, and a
+merge path reads) is pickled under a content-addressed key, and a
 later study with the same inputs serves the outcome from disk instead
-of simulating.  Because the *entire* outcome is replayed through the
-same :meth:`Study._consume` merge the parallel scheduler uses, a warm
-run is byte-identical to a cold one at any ``--jobs`` count.
+of simulating.  Because the *entire* outcome goes through the same
+:meth:`Study._consume` merge the parallel scheduler uses, a warm run
+is byte-identical to a cold one at any ``--jobs`` count.
 
 The key covers everything a cell's bytes can depend on:
 

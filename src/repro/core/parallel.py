@@ -22,9 +22,10 @@ registry-machine cell runs, serial or parallel:
   feeds the persistent cell cache, storing each outcome as it
   completes, and keeps every outcome; the owning
   :class:`~repro.core.study.Study` then *consumes* an outcome on every
-  request, in the order its builders request cells, so the resilience
-  log, every ``study.*``/``sim.*`` metric, the trace ring and the
-  rendered tables are byte-identical at any jobs count.
+  request, in the order its builders request cells, merging its
+  observations on the first, so the resilience log, every
+  ``study.*``/``sim.*`` metric, the trace ring and the rendered tables
+  are byte-identical at any jobs count.
 
 Determinism contract (DESIGN.md 5e): result values depend only on
 ``(seed, cell)``; merge effects depend only on consumption order, which
@@ -154,7 +155,8 @@ class CellOutcome:
     ``result`` is the statistic bundle (or :class:`Degraded` marker)
     the builder needs; the remaining fields are the observability and
     resilience side effects computing the cell wrote into its own
-    context, captured so the study can replay them on every request.
+    context, captured so the study can merge them when it first
+    consumes the cell.
     """
 
     task: CellTask
@@ -324,10 +326,14 @@ class CellScheduler:
         """Compute ``pending`` on a process pool, keeping each outcome
         as it completes.
 
-        An exception a cell raises in its worker propagates unchanged.
-        A worker that dies breaks the pool; the cells that were still
-        unfinished are then named in a :class:`CellExecutionError`,
-        after every finished one has been kept (and cached).
+        A cell that raises in its worker does not stop the others:
+        once every other cell has finished and been kept (and cached),
+        the exception of the first failing cell in roster order
+        propagates unchanged, whichever worker finished first, so the
+        same cells raise the same error on every run.  A worker that
+        dies breaks the pool; the cells that were still unfinished are
+        then named in a :class:`CellExecutionError`, after every
+        finished one has been kept (and cached).
         """
         # imported here: a run at --jobs 1 never loads the pool
         from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -343,14 +349,21 @@ class CellScheduler:
                     execute_cell, config, task, obs_enabled, profile
                 )
                 futures[future] = task
+            failed = {}
             for future in as_completed(futures):
                 try:
                     outcome = future.result()
                 except BrokenProcessPool:
                     continue  # named below, with every unfinished cell
+                except Exception as exc:
+                    failed[futures[future]] = exc
+                    continue
                 keep(futures[future], outcome, "computed")
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
+        for _, task in pending:
+            if task in failed:
+                raise failed[task]
         unfinished = [
             "/".join(task.label()) for _, task in pending
             if task.label() not in self._outcomes

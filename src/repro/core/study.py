@@ -79,10 +79,10 @@ class Study:
 
     Registry-machine cells run through :class:`~repro.core.parallel
     .CellScheduler`, which computes each cell once — in this process at
-    ``config.jobs`` 1, on a process pool above — and every request
-    replays that outcome in request order; results, resilience log,
-    traces and metrics are byte-identical at any jobs count
-    (DESIGN.md 5e).
+    ``config.jobs`` 1, on a process pool above.  Every request takes
+    that outcome's result and resilience entries, and the first also
+    merges its traces and metrics, all in request order, so they are
+    byte-identical at any jobs count (DESIGN.md 5e).
     """
 
     def __init__(self, config: StudyConfig | None = None) -> None:
@@ -132,7 +132,7 @@ class Study:
         """Serve one benchmark cell to a table builder.
 
         The scheduler computes a registry-machine cell once; this and
-        every later request replay its outcome through :meth:`_consume`.
+        every later request consume its outcome through :meth:`_consume`.
         A cell outside the scheduler's remit (a user-built machine, or a
         mutated copy sharing a registry name) runs in-process through
         :meth:`_compute` on every request.
@@ -141,7 +141,7 @@ class Study:
         if outcome is None:
             result = self._compute(fn, label)
         else:
-            result = self._consume(outcome)
+            result = self._consume(label, outcome)
         self.cell_results[label] = result
         return result
 
@@ -200,19 +200,22 @@ class Study:
             )
         return result
 
-    def _consume(self, outcome) -> object:
+    def _consume(self, label: tuple[str, ...], outcome) -> object:
         """Merge one scheduler-computed cell outcome into this study.
 
-        Replays, in order, every side effect :meth:`_compute` has:
-        degraded entries append to the resilience log, the computing
-        context's tracer ring (cell span included) is absorbed, metric
-        deltas replay into the live registry and profiler counts
-        accumulate.  Consumption order is the builders' request order,
-        which is what makes the merge deterministic at any jobs count.
+        Every request appends the cell's degraded entries to the
+        resilience log, which the stdout footnotes read.  The first
+        request for ``label`` — computed or served from the cell cache
+        alike — also merges what computing the cell observed: its tracer
+        ring (cell span included) is absorbed, its metric deltas replay
+        into the live registry and its profiler counts accumulate.  A
+        later request was not computed again, so it observes nothing.
+        Consumption order is the builders' request order, which is what
+        makes the merge deterministic at any jobs count.
         """
         self.resilience.extend(outcome.degraded)
         ctx = obs.current()
-        if ctx.enabled:
+        if ctx.enabled and label not in self.cell_results:
             if outcome.records or outcome.tracer_dropped:
                 ctx.tracer.absorb(
                     outcome.records,

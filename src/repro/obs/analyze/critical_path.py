@@ -182,14 +182,16 @@ def _sim_phase_spans(spans: Iterable[Any]) -> list[Any]:
 
 
 class _PhaseTimeline:
-    """The phase spans of one trace, sorted by begin, swept per window.
+    """The phase spans of one group (a cell), sorted by begin, swept
+    per window.
 
-    Every simulation starts its clock near zero, so windows from
-    different cells overlap on one shared simulated timeline and each
-    window clips a large share of the trace.  :meth:`segments` therefore
-    sweeps each window once: a linear filter over the spans that begin
-    before the window ends, then O(k log k) for the k spans overlapping
-    it, instead of rescanning every span for every elementary interval.
+    Every simulation starts its clock near zero, so windows from the
+    separate simulations of one cell overlap on one simulated timeline
+    and each window clips a share of the cell's spans.  :meth:`segments`
+    therefore sweeps each window once: a linear filter over the spans
+    that begin before the window ends, then O(k log k) for the k spans
+    overlapping it, instead of rescanning every span for every
+    elementary interval.
     """
 
     def __init__(self, spans: Iterable[Any]) -> None:
@@ -298,20 +300,27 @@ def attribute_cells(
 
 
 def attributions_from_tracer(tracer) -> list[PhaseAttribution]:
-    """Attribute every benchmark cell window recorded by a live tracer.
+    """Attribute every benchmark window a live tracer recorded, each
+    over the spans of its own cell only.
 
-    Simulated-time spans become :class:`ReadSpan` records and run
-    through :func:`attribute_cells`.
+    ``study`` spans are the only spans opened on the tracer's stack, so
+    a cell's records are its depth-0 ``study`` span and the deeper
+    records after it, up to the next depth-0 record.  Records outside
+    any cell (the ``sweeps`` curves) form one more group, attributed
+    after the cells, which come in the order they were recorded.
     """
-    spans = [
-        ReadSpan(
-            name=r.name,
-            category=r.category,
-            timeline="sim",
-            begin=r.sim_begin,
-            end=r.sim_end,
-        )
-        for r in tracer.span_records()
-        if r.sim_begin is not None
+    cells: list[list[Any]] = []
+    loose: list[Any] = []
+    group = loose
+    for record in tracer.span_records():
+        if record.depth == 0:
+            if record.category == "study":
+                group = []
+                cells.append(group)
+            else:
+                group = loose
+        group.append(record)
+    return [
+        attribution for spans in (*cells, loose)
+        for attribution in attribute_cells(spans)
     ]
-    return attribute_cells(spans)

@@ -25,10 +25,11 @@ stable schema tag (``repro.events/v1``):
   ``--resume`` directory included) instead of computed.
 
 Events are *telemetry*, not results: timestamps are host wall-clock,
-sequence numbers are per-log, and nothing downstream of the determinism
-contract reads them.  With no event log armed the module-level helpers
-in :mod:`repro.obs.live` degrade to shared no-ops, which is what keeps
-an un-flagged run byte-identical.
+sequence numbers restart at 0 with each run (a file that several runs
+appended to holds several runs), and nothing downstream of the
+determinism contract reads them.  With no event log armed the
+module-level helpers in :mod:`repro.obs.live` degrade to shared no-ops,
+which is what keeps an un-flagged run byte-identical.
 """
 
 from __future__ import annotations
@@ -162,7 +163,12 @@ def read_events(path: str | Path) -> tuple[list[dict], int]:
 
 
 def check_invariants(events: list[dict]) -> list[str]:
-    """Structural invariants over one run's events (empty = healthy).
+    """Structural invariants over an event log (empty = healthy).
+
+    ``--events-out FILE`` appends, and every run restarts ``seq`` at 0,
+    so the log is split at each ``run_start`` and each run is checked
+    on its own (events before the first ``run_start`` form a slice of
+    their own).  Within one run:
 
     * every cell that started reaches exactly one terminal event;
     * starts never undercount terminals (a terminal without any start
@@ -172,8 +178,27 @@ def check_invariants(events: list[dict]) -> list[str]:
     * every ``run_start`` is paired with a ``run_end`` — since the CLI
       emits ``run_end`` from a ``finally`` block (with ``outcome:
       error|interrupted`` on abnormal exits), an unpaired start means a
-      truncated stream (the run was SIGKILLed or the log torn).
+      truncated stream (the run was SIGKILLed or the log torn), and a
+      ``run_start`` arriving while a run is still open marks that run
+      as truncated.
+
+    In a log of several runs each finding names its run (``run 2 of
+    3: ...``).
     """
+    runs: list[list[dict]] = [[]]
+    for event in events:
+        if event["kind"] == "run_start" and runs[-1]:
+            runs.append([])
+        runs[-1].append(event)
+    findings: list[str] = []
+    for ordinal, run in enumerate(runs, start=1):
+        prefix = f"run {ordinal} of {len(runs)}: " if len(runs) > 1 else ""
+        findings.extend(prefix + finding for finding in _check_run(run))
+    return findings
+
+
+def _check_run(events: list[dict]) -> list[str]:
+    """The :func:`check_invariants` findings of one run's events."""
     findings: list[str] = []
     seqs = [e["seq"] for e in events]
     if any(b <= a for a, b in zip(seqs, seqs[1:])):
@@ -184,6 +209,7 @@ def check_invariants(events: list[dict]) -> list[str]:
         findings.append(
             f"{run_starts} run_start event(s) but {run_ends} "
             f"run_end event(s)"
+            + (": the run was truncated" if run_starts > run_ends else "")
         )
     starts: dict[str, int] = {}
     terminals: dict[str, int] = {}

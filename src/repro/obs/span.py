@@ -216,13 +216,14 @@ class Tracer:
     ) -> None:
         """Append records captured by another tracer (a worker process).
 
-        The parallel study scheduler ships each worker's ring back to
-        the parent and merges cells in roster order; ``absorb`` is that
-        merge.  Span records are copied (never aliased — one outcome
-        may be absorbed more than once when a table is rebuilt) and
-        their host wall-times rebased from the worker's origin onto
-        this tracer's, so relative timing stays meaningful; simulated
-        times are absolute and travel untouched.  The donor's drop
+        The study scheduler ships each cell's ring back to the parent,
+        which absorbs it when it first consumes the cell; ``absorb`` is
+        that merge.  Span records are copied (never aliased — the
+        scheduler keeps the outcome, and the cell cache may have stored
+        it, so the donor's records must stay as recorded) and their
+        host wall-times rebased from the worker's origin onto this
+        tracer's, so relative timing stays meaningful; simulated times
+        are absolute and travel untouched.  The donor's drop
         count folds into ours, and capacity accounting applies to the
         absorbed records exactly as if they had been recorded locally.
         """

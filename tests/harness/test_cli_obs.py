@@ -7,6 +7,7 @@ carry counters from every instrumented subsystem.
 """
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -58,6 +59,34 @@ class TestByteIdentity:
         assert code == 0
         assert "events/sec" in captured.err
         assert "events/sec" not in captured.out
+
+
+class TestProfileCounts:
+    def test_profile_counts_each_event_once(self, capsys, monkeypatch):
+        # Table 7 asks for Table 5's cells again; the profile must count
+        # the events the run processed, not one copy per request
+        from repro.sim.engine import Environment
+
+        steps = 0
+        step = Environment.step
+
+        def counted(env):
+            nonlocal steps
+            steps += 1
+            return step(env)
+
+        monkeypatch.setattr(Environment, "step", counted)
+        code = main(["table5", "table7", "--exact", *FAST, "--profile",
+                     "--no-ledger"])
+        err = capsys.readouterr().err
+        assert code == 0
+        total = re.search(
+            r"total: (\d+) events, .*; ([\d.]+)% of [\d.]+ ms profiled wall",
+            err,
+        )
+        assert total is not None, err
+        assert int(total.group(1)) == steps > 0
+        assert float(total.group(2)) <= 100.0
 
 
 class TestTraceGolden:
@@ -135,7 +164,9 @@ class TestArtifactsMerge:
         self, tmp_path, capsys
     ):
         # the bundle's attribution is reused only while the tracer is
-        # unchanged; table7 records more windows after the bundle
+        # unchanged.  A cell merges its windows once, so a table printed
+        # after the bundle adds none; the sweeps curves are not cells,
+        # and every sweeps target records its windows again
         def run(*argv):
             ledger = tmp_path / f"ledger{len(argv)}"
             code = main([*argv, *FAST, "--quiet",
@@ -146,8 +177,8 @@ class TestArtifactsMerge:
             runs = RunLedger(ledger)
             return runs.load(runs.resolve("latest")).attribution
 
-        table7 = run("table7")
-        combined = run("table4", "artifacts", "table7",
+        sweeps = run("sweeps")
+        combined = run("table4", "artifacts", "sweeps",
                        "--output", str(tmp_path / "bundle"))
         bundle = json.loads(
             (tmp_path / "bundle" / "obs" / "attribution.json").read_text()
@@ -157,7 +188,7 @@ class TestArtifactsMerge:
             return Counter(doc["cell"] for doc in docs)
 
         assert len(combined) > len(bundle)
-        assert cells(combined) == cells(bundle) + cells(table7)
+        assert cells(combined) == cells(bundle) + cells(sweeps)
 
     def test_bundle_has_no_metrics_when_obs_off(self, tmp_path, capsys):
         out = tmp_path / "bundle"

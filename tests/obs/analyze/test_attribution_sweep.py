@@ -1,7 +1,8 @@
 """The attribution sweep against the original rescan, plus a scaling guard.
 
 :mod:`.scan_oracle` keeps the quadratic per-interval rescan the sweep
-replaced; every test here holds the sweep to exactly its segments.
+replaced; every test here holds the sweep to exactly its segments, and
+a live study's windows to the rescan over their own cell's spans.
 """
 
 import random
@@ -10,9 +11,20 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.study import Study, StudyConfig
+from repro.core.tables import build_table5, build_table6
 from repro.errors import TraceAnalysisError
 from repro.harness.cli import main
-from repro.obs.analyze import ReadSpan, attribute_cells, attribute_window
+from repro.machines.registry import get_machine
+from repro.obs import ObsContext
+from repro.obs import runtime as obs
+from repro.obs.analyze import (
+    ReadSpan,
+    attribute_cells,
+    attribute_window,
+    attributions_from_tracer,
+)
+from repro.obs.span import SpanRecord
 
 from .scan_oracle import scan_cells, scan_window
 from .trace_reader import TraceDocument
@@ -116,6 +128,37 @@ def test_recorded_trace_equals_the_scan(tmp_path, capsys):
     assert [a.to_detailed_json() for a in new] == \
         [a.to_detailed_json() for a in old]
     assert [a.segments for a in new] == [a.segments for a in old]
+
+
+def test_each_window_equals_the_scan_over_its_own_cell():
+    # every simulation starts near clock zero, so windows of different
+    # cells overlap in simulated time; a window must still take in only
+    # the spans its own cell recorded
+    ctx = ObsContext.create()
+    with obs.observability(ctx):
+        study = Study(StudyConfig(runs=2, seed=7))
+        build_table5(study)
+        build_table6(study)
+    expected = []
+    for record in ctx.tracer.span_records():
+        if record.category != "study":
+            continue
+        label = tuple(record.name.split("/"))
+        cell = study.scheduler.lookup(get_machine(label[0].lower()), label)
+        own = [r for r in cell.records if isinstance(r, SpanRecord)]
+        expected += scan_cells(own)
+    got = attributions_from_tracer(ctx.tracer)
+    assert {"osu.pingpong", "cs.memcpy"} <= {a.cell for a in got}
+    assert [(a.cell, a.begin, a.end, a.segments) for a in got] == \
+        [(a.cell, a.begin, a.end, a.segments) for a in expected]
+    # Comm|Scope sends no MPI message and runs no BabelStream kernel
+    memcpy_spans = {
+        seg.span for a in got if a.cell == "cs.memcpy"
+        for seg in a.segments if seg.span is not None
+    }
+    assert memcpy_spans
+    assert not {s for s in memcpy_spans
+                if s == "send.eager" or "babelstream" in s}
 
 
 def test_overlapping_windows_scale():

@@ -188,6 +188,34 @@ class TestInvariantChecker:
         assert any("strictly increasing" in f
                    for f in check_invariants(events))
 
+    def test_runs_appended_to_one_log_are_checked_one_by_one(self, tmp_path):
+        # --events-out appends, and each run restarts seq at 0 and
+        # computes its cells afresh
+        _run_study(tmp_path / "ev.jsonl")
+        _run_study(tmp_path / "ev.jsonl")
+        events, _ = read_events(tmp_path / "ev.jsonl")
+        assert _kinds(events)["run_start"] == 2
+        assert check_invariants(events) == []
+
+    def test_killed_run_then_clean_run_flags_the_killed_run_only(
+        self, tmp_path
+    ):
+        # a SIGKILLed run leaves its run_start and a started cell with
+        # no terminal event and no run_end
+        killed = live.RunTelemetry(events=EventLog(tmp_path / "ev.jsonl"))
+        killed.run_start(["table4"], 1, 11)
+        killed.cell_start("Sawtooth/osu/on-socket", ordinal=1)
+        killed.close()
+        _run_study(tmp_path / "ev.jsonl")
+        events, _ = read_events(tmp_path / "ev.jsonl")
+        findings = check_invariants(events)
+        assert sorted(findings) == [
+            "run 1 of 2: 1 run_start event(s) but 0 run_end event(s): "
+            "the run was truncated",
+            "run 1 of 2: cell Sawtooth/osu/on-socket: 1 start(s) but 0 "
+            "terminal event(s)",
+        ]
+
     def test_vocabulary_is_closed(self):
         assert EVENT_KINDS == {
             "run_start", "cell_start", "cell_done", "cell_degraded",

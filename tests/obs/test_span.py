@@ -196,8 +196,10 @@ class TestAbsorb:
             assert mine.wall_duration == pytest.approx(theirs.wall_duration)
 
     def test_double_absorb_is_idempotent_per_call(self):
-        # a rebuilt table consumes the same outcome twice; each absorb
-        # must re-copy from the pristine worker records, not mutate them
+        # the scheduler keeps an outcome after the study absorbs it, and
+        # the cell cache may have stored it: absorb must copy and rebase,
+        # never mutate the donor's records, so absorbing them again
+        # starts from the records as the worker recorded them
         donor = self._donor()
         parent = Tracer()
         parent.absorb(donor.records(), wall_origin=donor.wall_origin)
