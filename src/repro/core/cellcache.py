@@ -60,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: bump on any payload-layout or key-derivation change, or when a
 #: cell's result under an unchanged key changes: every entry written
 #: under another schema is hard-invalidated on first touch
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 #: StudyConfig knobs that steer *how* cells execute, not what they
 #: compute — byte-neutral by the determinism contract, so excluded
@@ -102,6 +102,22 @@ def _fingerprint(value: Any) -> str:
     return repr(value)
 
 
+#: id(machine) -> (machine, its fingerprint text).  A registry
+#: machine is frozen and built once per process, so its spec is walked
+#: once, not for every key; the entry holds the machine, so its id
+#: cannot be reused while the text is kept
+_MACHINE_TEXT: dict[int, tuple[Any, str]] = {}
+
+
+def _machine_fingerprint(machine) -> str:
+    entry = _MACHINE_TEXT.get(id(machine))
+    if entry is not None and entry[0] is machine:
+        return entry[1]
+    text = _fingerprint(machine)
+    _MACHINE_TEXT[id(machine)] = (machine, text)
+    return text
+
+
 def cell_key(
     config: "StudyConfig",
     task: "CellTask",
@@ -115,7 +131,7 @@ def cell_key(
     digest collision degrades to a miss instead of a wrong result.
     """
     parts = [
-        f"machine={_fingerprint(get_machine(task.machine))}",
+        f"machine={_machine_fingerprint(get_machine(task.machine))}",
         f"task={(task.machine, task.method, task.variant)!r}",
         f"obs={(bool(obs_enabled), bool(profile))!r}",
     ]

@@ -80,8 +80,8 @@ class Study:
     Registry-machine cells run through :class:`~repro.core.parallel
     .CellScheduler`, which computes each cell once — in this process at
     ``config.jobs`` 1, on a process pool above.  Every request takes
-    that outcome's result and resilience entries, and the first also
-    merges its traces and metrics, all in request order, so they are
+    that outcome's result; the first also logs its resilience entries
+    and merges its traces and metrics, all in request order, so they are
     byte-identical at any jobs count (DESIGN.md 5e).
     """
 
@@ -203,19 +203,23 @@ class Study:
     def _consume(self, label: tuple[str, ...], outcome) -> object:
         """Merge one scheduler-computed cell outcome into this study.
 
-        Every request appends the cell's degraded entries to the
-        resilience log, which the stdout footnotes read.  The first
-        request for ``label`` — computed or served from the cell cache
-        alike — also merges what computing the cell observed: its tracer
-        ring (cell span included) is absorbed, its metric deltas replay
-        into the live registry and its profiler counts accumulate.  A
-        later request was not computed again, so it observes nothing.
-        Consumption order is the builders' request order, which is what
-        makes the merge deterministic at any jobs count.
+        Every request takes the cell's result; the stdout footnotes
+        read their degraded entries from it.  The first request for
+        ``label`` — computed or served from the cell cache alike — also
+        merges what computing the cell observed: its degraded entries go
+        to the resilience log, so the log counts cells, not requests; its
+        tracer ring (cell span included) is absorbed, its metric deltas
+        replay into the live registry and its profiler counts
+        accumulate.  A later request was not computed again, so it
+        observes nothing.  Consumption order is the builders' request
+        order, which is what makes the merge deterministic at any jobs
+        count.
         """
+        if label in self.cell_results:
+            return outcome.result
         self.resilience.extend(outcome.degraded)
         ctx = obs.current()
-        if ctx.enabled and label not in self.cell_results:
+        if ctx.enabled:
             if outcome.records or outcome.tracer_dropped:
                 ctx.tracer.absorb(
                     outcome.records,

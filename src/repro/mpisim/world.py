@@ -10,7 +10,8 @@ Protocol:
 * **eager** (size <= :data:`~repro.mpisim.protocols.EAGER_THRESHOLD`):
   the sender pays its software overhead, deposits the message with a
   wire-arrival timestamp and continues; the receiver matches, waits for
-  arrival, pays its own overhead.
+  arrival, pays its own overhead.  The match schedules the receive's
+  completion at once, so the receive costs one engine event.
 * **rendezvous**: the sender deposits an RTS envelope and blocks on the
   CTS; the receiver answers CTS when matched; the bulk transfer then
   costs ``nbytes / bandwidth`` on the wire.
@@ -74,6 +75,23 @@ def _match_any(_m: Message) -> bool:
     return True
 
 
+def _after_arrival(now: float, arrival: float, overhead: float) -> float:
+    """When a receive at ``now`` that waits for ``arrival`` and then pays
+    ``overhead`` completes, with the float operations of the two
+    relative waits it stands for."""
+    start = now + (arrival - now) if arrival > now else now
+    return start + overhead
+
+
+def _deliver(event, message: Message, done) -> None:
+    """Trigger a matched receive's event now, or at ``done(message)``."""
+    when = None if done is None else done(message)
+    if when is None:
+        event.succeed(message)
+    else:
+        event.succeed_at(when, message)
+
+
 class MatchQueue:
     """An MPI-style matching queue.
 
@@ -92,30 +110,38 @@ class MatchQueue:
     def __init__(self, env: Environment, depth_hist=None) -> None:
         self.env = env
         self.items: list[Message] = []
-        self._waiters: list[tuple[Callable[[Message], bool], Any]] = []
+        self._waiters: list[tuple[Callable[[Message], bool], Any, Any]] = []
         self._depth_hist = depth_hist
 
     def put(self, item: Message) -> None:
-        for idx, (match, event) in enumerate(self._waiters):
+        for idx, (match, done, event) in enumerate(self._waiters):
             if match(item):
                 del self._waiters[idx]
-                event.succeed(item)
+                _deliver(event, item, done)
                 return
         self.items.append(item)
         if self._depth_hist is not None:
             self._depth_hist.observe(len(self.items))
 
-    def get(self, match: Optional[Callable[[Message], bool]] = None):
-        """An event that triggers with the oldest matching message."""
+    def get(
+        self,
+        match: Optional[Callable[[Message], bool]] = None,
+        done: Optional[Callable[[Message], Optional[float]]] = None,
+    ):
+        """An event that triggers with the oldest matching message.
+
+        The event triggers at match time, or, when ``done`` is given and
+        returns a time for the matched message, at that absolute time.
+        """
         if match is None:
             match = _match_any
         event = self.env.event()
         for idx, item in enumerate(self.items):
             if match(item):
                 del self.items[idx]
-                event.succeed(item)
+                _deliver(event, item, done)
                 return event
-        self._waiters.append((match, event))
+        self._waiters.append((match, done, event))
         return event
 
     def __len__(self) -> int:
@@ -257,21 +283,12 @@ class RankContext:
         env = self.env
         rank = self.rank
         msg: Message = yield world._mailbox(src, rank).get(
-            self._envelope_match(tag)
+            self._envelope_match(tag), self._eager_done
         )
-        cost = world.path(src, rank, msg.buffer)
-        injector = world.injector
         if msg.kind == _MsgKind.EAGER:
-            if msg.arrival > env.now:
-                yield env.timeout(msg.arrival - env.now)
-            # straggler draw stays AFTER the arrival wait: fault RNG
-            # streams must consume draws in the same event order as the
-            # pre-optimization code path
-            overhead = cost.o_recv
-            if injector is not None:
-                overhead += injector.straggler_delay(rank, overhead)
-            yield env.timeout(overhead)
+            # _eager_done already timed the arrival wait and overhead
             return msg
+        cost = world.path(src, rank, msg.buffer)
         if msg.kind != _MsgKind.RTS:
             raise MpiSimError(f"rank {rank}: expected EAGER/RTS, got {msg.kind}")
         if msg.arrival > env.now:
@@ -290,13 +307,21 @@ class RankContext:
         )
         if data.kind != _MsgKind.DATA:
             raise MpiSimError(f"rank {rank}: expected DATA, got {data.kind}")
-        if data.arrival > env.now:
-            yield env.timeout(data.arrival - env.now)
-        overhead = cost.o_recv
-        if injector is not None:
-            overhead += injector.straggler_delay(rank, overhead)
-        yield env.timeout(overhead)
+        yield env.event().succeed_at(_after_arrival(
+            env.now, data.arrival, self._overhead(cost.o_recv)
+        ))
         return data
+
+    def _eager_done(self, msg: Message) -> Optional[float]:
+        """Completion time of an eager receive matched now (None for an
+        RTS): the arrival wait, then the receive overhead and its
+        straggler draw, made at match time."""
+        if msg.kind != _MsgKind.EAGER:
+            return None
+        cost = self.world.path(msg.src, self.rank, msg.buffer)
+        return _after_arrival(
+            self.env.now, msg.arrival, self._overhead(cost.o_recv)
+        )
 
     # -- preposted receives --------------------------------------------------
     def irecv(self, src: int, tag: int = ANY_TAG):
@@ -322,10 +347,11 @@ class RankContext:
                 f"(got {msg.kind})"
             )
         cost = self.world.path(msg.src, self.rank, msg.buffer)
-        if msg.arrival > self.env.now:
-            yield self.env.timeout(msg.arrival - self.env.now)
         discount = self.world.machine.calibration.mpi.prepost_discount
-        yield self.env.timeout(max(0.0, cost.o_recv - discount))
+        env = self.env
+        yield env.event().succeed_at(_after_arrival(
+            env.now, msg.arrival, max(0.0, cost.o_recv - discount)
+        ))
         return msg
 
     def sendrecv(

@@ -10,6 +10,12 @@ The implementation is deliberately small but complete enough to express
 everything the hardware models need: timeouts, processes as events
 (join semantics), interrupts, and ``AllOf``/``AnyOf`` composition.
 
+An event that nothing waits on when it succeeds skips the heap: it is
+processed at once, since processing it would run no callback and would
+not move the clock (DESIGN.md 5f).  A process that returns while
+nothing joins it ends the same way.  Failures, timeouts, process starts
+and interrupts are always scheduled.
+
 Every event class declares ``__slots__`` (DESIGN.md 5f): the paper's
 protocol multiplies out to millions of heap pushes and pops per study,
 and a per-instance dict on each of them was measurable.
@@ -17,9 +23,9 @@ and a per-instance dict on each of them was measurable.
 
 from __future__ import annotations
 
-import heapq
 import time
 from contextlib import contextmanager
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import DeadlockError, SimulationError, WatchdogTimeout
@@ -109,12 +115,37 @@ class Event:
 
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
-        if self._scheduled or self.callbacks is None:
+        """Trigger the event successfully with ``value``.
+
+        With nothing waiting, the event is processed at once: a later
+        ``yield`` of it resumes immediately.
+        """
+        callbacks = self.callbacks
+        if self._scheduled or callbacks is None:
             raise SimulationError(f"{self!r} already triggered")
         self._value = value
         self._ok = True
-        self.env._schedule(self, NORMAL)
+        if callbacks:
+            env = self.env
+            env._schedule(self, NORMAL, env.now)
+        else:
+            self.callbacks = None
+        return self
+
+    def succeed_at(self, when: float, value: Any = None) -> "Event":
+        """Trigger the event successfully at absolute simulated time ``when``.
+
+        ``when`` is used as given, so a caller can merge a chain of
+        relative waits into one event and keep their float operations.
+        """
+        if self._scheduled or self.callbacks is None:
+            raise SimulationError(f"{self!r} already triggered")
+        env = self.env
+        if when < env.now:
+            raise SimulationError(f"time {when} is in the past (now={env.now})")
+        self._value = value
+        self._ok = True
+        env._schedule(self, NORMAL, when)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -130,7 +161,8 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._value = exception
         self._ok = False
-        self.env._schedule(self, NORMAL)
+        env = self.env
+        env._schedule(self, NORMAL, env.now)
         return self
 
     def defuse(self) -> None:
@@ -152,10 +184,17 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
+        # Event.__init__ and Environment._schedule inlined: a timeout
+        # is the commonest event
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, NORMAL, delay)
+        self._ok = True
+        self._defused = False
+        self._scheduled = True
+        self.delay = delay
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env.now + delay, NORMAL, seq, self))
 
 
 class Initialize(Event):
@@ -166,7 +205,7 @@ class Initialize(Event):
     def __init__(self, env: "Environment", process: "Process") -> None:
         super().__init__(env)
         self.callbacks.append(process._resume)
-        env._schedule(self, URGENT)
+        env._schedule(self, URGENT, env.now)
 
 
 class Interrupt(Exception):
@@ -227,7 +266,7 @@ class Process(Event):
             except ValueError:
                 pass
         event.callbacks.append(self._resume)
-        self.env._schedule(event, URGENT)
+        self.env._schedule(event, URGENT, self.env.now)
 
     # -- scheduling glue ---------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -249,7 +288,11 @@ class Process(Event):
                 self._target = None
                 self._value = stop.value
                 self._ok = True
-                env._schedule(self, NORMAL)
+                if self.callbacks:
+                    env._schedule(self, NORMAL, env.now)
+                else:
+                    # nothing joins: end at once, like succeed()
+                    self.callbacks = None
                 return
             except Interrupt as exc:
                 # Interrupt escaped the coroutine: terminate it with failure.
@@ -258,7 +301,7 @@ class Process(Event):
                 self._target = None
                 self._value = exc
                 self._ok = False
-                env._schedule(self, NORMAL)
+                env._schedule(self, NORMAL, env.now)
                 return
             except BaseException as exc:
                 env._active_process = None
@@ -266,7 +309,7 @@ class Process(Event):
                 self._target = None
                 self._value = exc
                 self._ok = False
-                env._schedule(self, NORMAL)
+                env._schedule(self, NORMAL, env.now)
                 return
 
             if not isinstance(target, Event):
@@ -283,7 +326,7 @@ class Process(Event):
                     pass
                 self._value = exc
                 self._ok = False
-                env._schedule(self, NORMAL)
+                env._schedule(self, NORMAL, env.now)
                 return
 
             if target.callbacks is not None:
@@ -389,12 +432,10 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
+    def _schedule(self, event: Event, priority: int, when: float) -> None:
         event._scheduled = True
         self._seq += 1
-        heapq.heappush(
-            self._queue, (self.now + delay, priority, self._seq, event)
-        )
+        heappush(self._queue, (when, priority, self._seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -427,7 +468,7 @@ class Environment:
         queue = self._queue
         if not queue:
             raise self._deadlock("event queue empty")
-        when, _, _, event = heapq.heappop(queue)
+        when, _, _, event = heappop(queue)
         if when < self.now:
             raise SimulationError("time went backwards")
         self.now = when
@@ -493,16 +534,9 @@ class Environment:
                 step()
             return None
         if isinstance(until, Event):
-            sentinel: list[Any] = []
-
-            def _done(ev: Event) -> None:
-                sentinel.append(ev)
-
-            if until.callbacks is None:
-                sentinel.append(until)
-            else:
-                until.callbacks.append(_done)
-            while not sentinel:
+            # poll rather than add a callback, so an awaited event that
+            # nothing else waits on still ends without a heap entry
+            while until.callbacks is not None:
                 if not queue:
                     raise self._deadlock(
                         "event queue drained before the awaited event triggered"

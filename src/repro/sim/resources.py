@@ -1,19 +1,13 @@
-"""Shared resources with FIFO (and priority) queuing.
+"""Shared resources with FIFO queuing.
 
-:class:`Resource` models a fixed pool of service slots (a DMA engine, a
-memory-controller port, an MPI progress thread).  Processes ``yield
-resource.request()`` to acquire a slot and call ``resource.release(req)``
-when done.  ``request()`` objects are events that trigger when the slot is
-granted.
-
-:class:`Store` is an unbounded (or bounded) FIFO of Python objects with
-blocking ``get``, used to build mailboxes and command queues.
+:class:`Resource` models a fixed pool of service slots (a device's DMA
+engines).  Processes ``yield resource.request()`` to acquire a slot and
+call ``resource.release(req)`` when done.  ``request()`` objects are
+events that trigger when the slot is granted; a release takes effect at
+once and costs no event.
 """
 
 from __future__ import annotations
-
-import heapq
-from typing import Any, Optional
 
 from ..errors import SimulationError
 from .engine import Environment, Event
@@ -27,17 +21,6 @@ class Request(Event):
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-
-
-class Release(Event):
-    """Immediate event confirming a slot release."""
-
-    __slots__ = ("request",)
-
-    def __init__(self, resource: "Resource", request: Request) -> None:
-        super().__init__(resource.env)
-        self.request = request
-        self.succeed()
 
 
 class Resource:
@@ -67,7 +50,7 @@ class Resource:
             self.queue.append(req)
         return req
 
-    def release(self, request: Request) -> Release:
+    def release(self, request: Request) -> None:
         if request in self.users:
             self.users.remove(request)
         elif request in self.queue:
@@ -76,123 +59,9 @@ class Resource:
         else:
             raise SimulationError("releasing a request that does not hold the resource")
         self._grant_next()
-        return Release(self, request)
 
     def _grant_next(self) -> None:
         while self.queue and len(self.users) < self.capacity:
             nxt = self.queue.pop(0)
             self.users.append(nxt)
             nxt.succeed()
-
-
-class PriorityRequest(Request):
-    __slots__ = ("priority",)
-
-    def __init__(self, resource: "PriorityResource", priority: int) -> None:
-        super().__init__(resource)
-        self.priority = priority
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is ordered by integer priority.
-
-    Lower numbers are served first; ties break FIFO.
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._heap: list[tuple[int, int, PriorityRequest]] = []
-        self._seq = 0
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        req = PriorityRequest(self, priority)
-        if len(self.users) < self.capacity:
-            self.users.append(req)
-            req.succeed()
-        else:
-            self._seq += 1
-            heapq.heappush(self._heap, (priority, self._seq, req))
-        return req
-
-    def release(self, request: Request) -> Release:  # type: ignore[override]
-        if request in self.users:
-            self.users.remove(request)
-        else:
-            # Remove from heap if queued.
-            for i, (_p, _s, queued) in enumerate(self._heap):
-                if queued is request:
-                    self._heap.pop(i)
-                    heapq.heapify(self._heap)
-                    break
-            else:
-                raise SimulationError(
-                    "releasing a request that does not hold the resource"
-                )
-        self._grant_next()
-        return Release(self, request)
-
-    def _grant_next(self) -> None:
-        while self._heap and len(self.users) < self.capacity:
-            _prio, _seq, nxt = heapq.heappop(self._heap)
-            self.users.append(nxt)
-            nxt.succeed()
-
-
-class StoreGet(Event):
-    __slots__ = ()
-
-
-class StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, env: Environment, item: Any) -> None:
-        super().__init__(env)
-        self.item = item
-
-
-class Store:
-    """A FIFO of items with blocking get and (optionally bounded) put."""
-
-    __slots__ = ("env", "capacity", "items", "_getters", "_putters")
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"store capacity must be >= 1, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self.items: list[Any] = []
-        self._getters: list[StoreGet] = []
-        self._putters: list[StorePut] = []
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> StorePut:
-        ev = StorePut(self.env, item)
-        if self.capacity is None or len(self.items) < self.capacity:
-            self.items.append(item)
-            ev.succeed()
-            self._serve_getters()
-        else:
-            self._putters.append(ev)
-        return ev
-
-    def get(self) -> StoreGet:
-        ev = StoreGet(self.env)
-        self._getters.append(ev)
-        self._serve_getters()
-        return ev
-
-    def _serve_getters(self) -> None:
-        while self._getters and self.items:
-            getter = self._getters.pop(0)
-            getter.succeed(self.items.pop(0))
-            # Space freed: admit a blocked putter, if any.
-            if self._putters and (
-                self.capacity is None or len(self.items) < self.capacity
-            ):
-                putter = self._putters.pop(0)
-                self.items.append(putter.item)
-                putter.succeed()

@@ -74,6 +74,28 @@ class TestKey:
             task, False, False,
         )[0] == digest
 
+    def test_machine_text_is_memoized_per_machine(self):
+        machine = get_machine(MACHINE)
+        text = cellcache._fingerprint(machine)
+        config = StudyConfig(runs=2, seed=77)
+        task = CellTask(MACHINE, "host_latency", "on-socket")
+        digest, key = cell_key(config, task, False, False)
+        assert key.startswith(f"machine={text}\n")
+        # a second key for the machine does not walk its spec again
+        with mock.patch.object(
+            cellcache, "_fingerprint", wraps=cellcache._fingerprint
+        ) as walk:
+            assert cell_key(config, task, False, False) == (digest, key)
+        assert all(call.args[0] is not machine for call in walk.call_args_list)
+        # an edited copy is another object: walked afresh, keyed anew
+        edited = replace(machine, rank=machine.rank + 1)
+        with mock.patch.object(cellcache, "get_machine", lambda _: edited):
+            other, other_key = cell_key(config, task, False, False)
+        assert other != digest
+        assert other_key.startswith(
+            f"machine={cellcache._fingerprint(edited)}\n"
+        )
+
 
 class TestHitMiss:
     def test_cold_stores_warm_hits_same_bytes(self, tmp_path):

@@ -268,3 +268,29 @@ class TestStaticRun:
             main(["table2", *flags])
         assert excinfo.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+class TestDegradedCount:
+    def test_a_degraded_cell_counts_once(self, tmp_path, capsys):
+        """At the default seed ``chaos`` degrades two cells, which
+        Table 4, ``compare`` and ``report`` each request: stderr lists
+        and the ledger counts each once, while Table 4 and ``report``
+        still footnote them on stdout."""
+        ledger = tmp_path / "ledger"
+        argv = ["all", "--runs", "5", "--faults", "chaos",
+                "--ledger-dir", str(ledger)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        at = err.index("resilience: 2 degraded cell(s)")
+        listed = [
+            line.split(":")[0] for line in err[at + 1:]
+            if line.startswith("  † ")
+        ]
+        assert listed == ["  † Eagle/osu/on-node", "  † Manzano/osu/on-socket"]
+        assert captured.out.count("† degraded: Eagle/osu/on-node") == 2
+
+        recorded = RunLedger(ledger)
+        outcome = recorded.load(recorded.resolve("latest")).outcome
+        assert outcome["cells"]["degraded"] == 2
+        assert len(outcome["degraded"]) == 2

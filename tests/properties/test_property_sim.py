@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Environment
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1,
@@ -66,22 +66,3 @@ def test_resource_conservation(capacity, jobs, duration):
     waves = -(-jobs // capacity)
     assert env.now / duration == waves or abs(env.now - waves * duration) < 1e-9
     assert peak[0] <= capacity
-
-
-@given(items=st.lists(st.integers(), min_size=0, max_size=50))
-@settings(max_examples=50, deadline=None)
-def test_store_preserves_fifo_order(items):
-    env = Environment()
-    store = Store(env)
-    out = []
-
-    def consumer(env):
-        for _ in range(len(items)):
-            value = yield store.get()
-            out.append(value)
-
-    env.process(consumer(env))
-    for item in items:
-        store.put(item)
-    env.run()
-    assert out == items

@@ -207,6 +207,63 @@ class TestEvents:
             Environment().step()
 
 
+class TestEventsNothingWaitsOn:
+    """An event nothing waits on skips the heap (DESIGN.md 5f)."""
+
+    def test_succeed_without_waiter_is_processed_at_once(self):
+        env = Environment()
+        ev = env.event().succeed("value")
+        assert ev.processed and env.peek() == float("inf")
+        log = []
+
+        def proc(env):
+            log.append((yield ev))
+            yield env.timeout(1.0)
+
+        env.process(proc(env))
+        env.step()  # the process start also resumes through ev
+        assert log == ["value"] and env.now == 0.0
+
+    def test_fail_without_waiter_is_scheduled_and_raises(self):
+        env = Environment()
+        ev = env.event().fail(RuntimeError("unhandled"))
+        assert not ev.processed and env.peek() == 0.0
+        with pytest.raises(RuntimeError, match="unhandled"):
+            env.step()
+
+    def test_run_until_process_costs_no_event_for_its_end(self):
+        hook = TestProfilerHook._Hook()
+
+        def proc(env):
+            yield env.timeout(1.0)
+            return "done"
+
+        with profiled(hook):
+            env = Environment()
+            assert env.run(env.process(proc(env))) == "done"
+        # the process start and its timeout; the end is processed at once
+        assert hook.events == 2
+
+    def test_succeed_at_fires_at_the_given_float(self):
+        env = Environment()
+        now, when = 0.7, 2.9
+        # a relative wait would land elsewhere: 0.7 + (2.9 - 0.7) != 2.9
+        assert now + (when - now) != when
+
+        def proc(env):
+            yield env.timeout(now)
+            yield env.event().succeed_at(when)
+            return env.now
+
+        assert env.run(env.process(proc(env))) == when
+
+    def test_succeed_at_refuses_the_past(self):
+        env = Environment()
+        env.run(until=1.0)
+        with pytest.raises(SimulationError, match="in the past"):
+            env.event().succeed_at(0.5)
+
+
 class TestConditions:
     def test_all_of_waits_for_everything(self):
         env = Environment()

@@ -1,10 +1,10 @@
-"""Tests for Resource / PriorityResource / Store."""
+"""Tests for Resource."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Environment
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource
 
 
 def hold(env, res, log, name, duration):
@@ -73,109 +73,3 @@ class TestResource:
     def test_zero_capacity_rejected(self):
         with pytest.raises(SimulationError):
             Resource(Environment(), capacity=0)
-
-
-class TestPriorityResource:
-    def test_priority_order(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        log = []
-
-        def worker(env, name, prio):
-            req = res.request(priority=prio)
-            yield req
-            log.append(name)
-            yield env.timeout(1.0)
-            res.release(req)
-
-        def starter(env):
-            first = res.request(priority=0)
-            yield env.timeout(0)
-            env.process(worker(env, "low", 5))
-            env.process(worker(env, "high", 1))
-            yield env.timeout(1.0)
-            res.release(first)
-
-        env.process(starter(env))
-        env.run()
-        assert log == ["high", "low"]
-
-    def test_ties_fifo(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        log = []
-
-        def worker(env, name):
-            req = res.request(priority=3)
-            yield req
-            log.append(name)
-            yield env.timeout(1.0)
-            res.release(req)
-
-        blocker = res.request(priority=0)
-        env.process(worker(env, "first"))
-        env.process(worker(env, "second"))
-        env.run()
-        res.release(blocker)
-        env.run()
-        assert log == ["first", "second"]
-
-
-class TestStore:
-    def test_put_get_fifo(self):
-        env = Environment()
-        store = Store(env)
-        results = []
-
-        def consumer(env):
-            for _ in range(3):
-                item = yield store.get()
-                results.append(item)
-
-        for item in (1, 2, 3):
-            store.put(item)
-        env.process(consumer(env))
-        env.run()
-        assert results == [1, 2, 3]
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        store = Store(env)
-
-        def consumer(env):
-            item = yield store.get()
-            return (env.now, item)
-
-        def producer(env):
-            yield env.timeout(4.0)
-            store.put("x")
-
-        proc = env.process(consumer(env))
-        env.process(producer(env))
-        assert env.run(proc) == (4.0, "x")
-
-    def test_bounded_put_blocks(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        store.put("a")
-        blocked = store.put("b")
-        assert not blocked.triggered
-
-        def consumer(env):
-            yield store.get()
-
-        env.process(consumer(env))
-        env.run()
-        assert blocked.triggered
-        assert store.items == ["b"]
-
-    def test_len(self):
-        env = Environment()
-        store = Store(env)
-        assert len(store) == 0
-        store.put(1)
-        assert len(store) == 1
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(SimulationError):
-            Store(Environment(), capacity=0)
