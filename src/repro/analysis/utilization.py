@@ -1,7 +1,7 @@
 """Utilization analysis from traces and link counters.
 
-Answers "where did the time go": DMA-engine busy fractions from a
-:class:`~repro.sim.trace.TraceRecorder`, and per-link traffic/occupancy
+Answers "where did the time go": DMA-engine busy fractions from the
+GPU runtime's ``dma:`` spans, and per-link traffic/occupancy
 summaries from a cluster's :class:`~repro.netsim.links.LinkTable` —
 the observability layer a performance study needs once experiments get
 bigger than one ping-pong.
@@ -10,10 +10,10 @@ bigger than one ping-pong.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..errors import BenchmarkConfigError
-from ..sim.trace import TraceRecorder
-from ..units import to_gb_per_s
+from ..obs.span import SpanRecord
 
 
 @dataclass(frozen=True)
@@ -41,38 +41,30 @@ class DmaUtilization:
 
 
 def dma_utilization(
-    trace: TraceRecorder, window_seconds: float
+    records: Iterable[SpanRecord], window_seconds: float
 ) -> dict[int, DmaUtilization]:
-    """Per-device DMA utilization from ``dma`` trace spans.
+    """Per-device DMA utilization from the GPU runtime's ``dma:`` spans.
 
-    The GPU runtime records ``<kind>.begin`` / ``<kind>.end`` pairs in
-    the ``dma`` category with a ``device`` attribute; this pairs them up
-    per device and aggregates.
+    Each copy leaves one ``dma:<kind>`` span carrying ``device`` and
+    ``nbytes``; its simulated duration is the time the copy held an
+    engine.  ``records`` is a tracer's :meth:`~repro.obs.span.Tracer
+    .records`; spans of other names are ignored.
     """
     if window_seconds <= 0:
         raise BenchmarkConfigError(
             f"window must be positive: {window_seconds}"
         )
-    open_spans: dict[tuple[int, str], list[tuple[float, int]]] = {}
     acc: dict[int, dict[str, float]] = {}
-    for event in trace.filter(category="dma"):
-        device = int(event.attrs.get("device", 0))
-        kind = event.label.rsplit(".", 1)[0]
-        if event.label.endswith(".begin"):
-            open_spans.setdefault((device, kind), []).append(
-                (event.time, int(event.attrs.get("nbytes", 0)))
-            )
-        elif event.label.endswith(".end"):
-            pending = open_spans.get((device, kind))
-            if not pending:
-                continue  # end without a recorded begin: ignore
-            start, nbytes = pending.pop(0)
-            slot = acc.setdefault(
-                device, {"transfers": 0, "bytes": 0, "busy": 0.0}
-            )
-            slot["transfers"] += 1
-            slot["bytes"] += int(event.attrs.get("nbytes", nbytes))
-            slot["busy"] += max(0.0, event.time - start)
+    for record in records:
+        if not record.name.startswith("dma:"):
+            continue
+        slot = acc.setdefault(
+            int(record.attrs["device"]),
+            {"transfers": 0, "bytes": 0, "busy": 0.0},
+        )
+        slot["transfers"] += 1
+        slot["bytes"] += int(record.attrs["nbytes"])
+        slot["busy"] += record.sim_end - record.sim_begin
     return {
         device: DmaUtilization(
             device=device,

@@ -131,28 +131,11 @@ def osu_latency_sweep(
     pair: tuple[RankLocation, RankLocation],
     buffer: BufferKind = BufferKind.HOST,
     max_bytes: int = 1 << 22,
-    sizes: "tuple[int, ...] | list[int] | None" = None,
 ) -> list[LatencyResult]:
-    """The upstream sweep: 0 B then powers of two up to 4 MiB.
-
-    ``sizes`` overrides the default set; it must be non-empty and
-    strictly increasing (a shuffled sweep almost always means a caller
-    bug, and the curve renderers assume monotone x).
-    """
-    if sizes is None:
-        sizes = [0]
-        size = 1
-        while size <= max_bytes:
-            sizes.append(size)
-            size *= 2
-    else:
-        sizes = list(sizes)
-        if not sizes:
-            raise BenchmarkConfigError("sweep sizes must not be empty")
-        if any(n < 0 for n in sizes):
-            raise BenchmarkConfigError(f"negative sweep size in {sizes!r}")
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise BenchmarkConfigError(
-                f"sweep sizes must be strictly increasing: {sizes!r}"
-            )
+    """The upstream sweep: 0 B then powers of two up to ``max_bytes``."""
+    sizes = [0]
+    size = 1
+    while size <= max_bytes:
+        sizes.append(size)
+        size *= 2
     return [osu_latency(machine, pair, n, buffer) for n in sizes]

@@ -375,27 +375,11 @@ def evaluate(
     suite: CheckSuite,
     source: Source,
     adaptive: bool = False,
-    jobs: int = 1,
 ) -> CheckReport:
-    """Judge every check of ``suite`` against ``source``.
+    """Judge every check of ``suite`` against ``source``, in spec order.
 
-    Results always come back in spec order regardless of ``jobs``, and
-    every statistical mode is seeded/deterministic, so the report —
-    including its rendered forms — is byte-identical at any job count.
+    Every statistical mode is seeded/deterministic, so the report —
+    including its rendered forms — is byte-identical on every run.
     """
-    if jobs > 1:
-        # concurrent.futures loads logging and traceback: only a pool pays
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda spec: _evaluate_one(spec, source, adaptive),
-                    suite.checks,
-                )
-            )
-    else:
-        results = [
-            _evaluate_one(spec, source, adaptive) for spec in suite.checks
-        ]
+    results = [_evaluate_one(spec, source, adaptive) for spec in suite.checks]
     return CheckReport(suite=suite.name, results=results, adaptive=adaptive)

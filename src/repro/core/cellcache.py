@@ -60,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: bump on any payload-layout or key-derivation change, or when a
 #: cell's result under an unchanged key changes: every entry written
 #: under another schema is hard-invalidated on first touch
-CACHE_SCHEMA = 4
+CACHE_SCHEMA = 5
 
 #: StudyConfig knobs that steer *how* cells execute, not what they
 #: compute — byte-neutral by the determinism contract, so excluded

@@ -35,8 +35,6 @@ class StudyConfig:
     max_retries: int = 2
     #: per-cell simulation event budget (watchdog); None = unbounded
     cell_max_events: int | None = 5_000_000
-    #: explicit osu_latency sweep sizes (None = upstream power-of-two set)
-    latency_sweep_sizes: tuple[int, ...] | None = None
     #: worker processes for benchmark cells (1 = serial, 0 = all cores)
     jobs: int = 1
     #: serve unchanged benchmark cells from the persistent result cache
@@ -84,20 +82,6 @@ class StudyConfig:
             raise BenchmarkConfigError(
                 f"faults must be a FaultPlan or None: {self.faults!r}"
             )
-        sizes = self.latency_sweep_sizes
-        if sizes is not None:
-            if len(sizes) == 0:
-                raise BenchmarkConfigError("latency_sweep_sizes must not be empty")
-            for size in sizes:
-                if not isinstance(size, int) or size < 0:
-                    raise BenchmarkConfigError(
-                        f"latency_sweep_sizes entries must be ints >= 0: {size!r}"
-                    )
-            if any(b <= a for a, b in zip(sizes, sizes[1:])):
-                raise BenchmarkConfigError(
-                    "latency_sweep_sizes must be strictly increasing: "
-                    f"{sizes!r}"
-                )
 
     @property
     def faults_armed(self) -> bool:

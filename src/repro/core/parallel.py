@@ -386,7 +386,7 @@ class CellScheduler:
 
         Returns ``None`` when the cell is outside the scheduler's remit
         (non-registry machine, unknown label) — the study then runs it
-        in-process on every request.
+        in-process, once per machine object.
         """
         group = self._group_of(machine)
         if group is None:

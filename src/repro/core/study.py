@@ -102,6 +102,9 @@ class Study:
         #: .study_metrics_doc` flattens these into comparable metrics.
         #: A cell requested for a second target overwrites its entry.
         self.cell_results: dict[tuple[str, ...], object] = {}
+        #: ``(machine, result)`` of each cell outside the scheduler's
+        #: remit, by label, served again only to the same machine object
+        self._local: dict[tuple[str, ...], tuple[Machine, object]] = {}
 
     # ------------------------------------------------------------------
     # helpers
@@ -135,13 +138,20 @@ class Study:
         every later request consume its outcome through :meth:`_consume`.
         A cell outside the scheduler's remit (a user-built machine, or a
         mutated copy sharing a registry name) runs in-process through
-        :meth:`_compute` on every request.
+        :meth:`_compute` once per study: a later request for its label
+        takes the held result if it names the same machine object, and
+        computes again for any other.
         """
         outcome = self.scheduler.lookup(machine, label)
-        if outcome is None:
-            result = self._compute(fn, label)
-        else:
+        if outcome is not None:
             result = self._consume(label, outcome)
+        else:
+            held = self._local.get(label)
+            if held is not None and held[0] is machine:
+                result = held[1]
+            else:
+                result = self._compute(fn, label)
+                self._local[label] = (machine, result)
         self.cell_results[label] = result
         return result
 
@@ -460,29 +470,6 @@ class Study:
                 cls: stat(v, NOISE_LATENCY, name, "cs", "d2d", cls.value)
                 for cls, v in base.d2d_latency.items()
             },
-        )
-
-    # ------------------------------------------------------------------
-    # sweeps
-    # ------------------------------------------------------------------
-    def latency_sweep(
-        self, machine: Machine, kind: PairKind = PairKind.ON_SOCKET
-    ):
-        """osu_latency over the configured message-size sweep.
-
-        Uses ``config.latency_sweep_sizes`` (validated strictly
-        increasing at construction) when set, else the upstream
-        power-of-two set.
-        """
-        from ..benchmarks.osu.latency import osu_latency_sweep
-        from ..mpisim.placement import on_node_pair, on_socket_pair
-
-        pair = (
-            on_socket_pair(machine) if kind == PairKind.ON_SOCKET
-            else on_node_pair(machine)
-        )
-        return osu_latency_sweep(
-            machine, pair, sizes=self.config.latency_sweep_sizes
         )
 
     @staticmethod

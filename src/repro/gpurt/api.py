@@ -30,7 +30,6 @@ from ..machines.base import Machine
 from ..obs import runtime as obs
 from ..sim.engine import Environment
 from ..sim.resources import Resource
-from ..sim.trace import TraceRecorder
 from .buffers import Buffer, DeviceBuffer, HostBuffer
 from .kernel import KernelSpec
 from .memcpy import CopyPlan, plan_copy
@@ -46,7 +45,6 @@ class Device:
     def __init__(self, runtime: "DeviceRuntime", index: int) -> None:
         self.runtime = runtime
         self.env: Environment = runtime.env
-        self.trace: TraceRecorder = runtime.trace
         self.index = index
         self.spec = runtime.machine.node.gpu_spec(index)
         self.calibration = runtime.calibration
@@ -103,7 +101,6 @@ class DeviceRuntime:
         self,
         machine: Machine,
         env: Optional[Environment] = None,
-        trace: Optional[TraceRecorder] = None,
         injector=None,
     ) -> None:
         if not machine.node.has_gpus:
@@ -112,9 +109,6 @@ class DeviceRuntime:
             raise GpuRuntimeError(f"{machine.name} has no GPU runtime calibration")
         self.machine = machine
         self.env = env if env is not None else Environment()
-        #: explicit recorder wins; otherwise records flow into the active
-        #: observability tracer (or the shared null recorder when off)
-        self.trace = trace if trace is not None else obs.active_recorder()
         self.calibration = machine.calibration.gpu_runtime
         #: optional repro.faults.FaultInjector consulted per kernel/DMA
         self.injector = injector
@@ -204,7 +198,6 @@ class DeviceRuntime:
         stream = stream or dev.default_stream
         t_call = self.env.now
         yield self.env.timeout(self.calibration.launch_overhead)
-        self.trace.record(self.env.now, "kernel", f"{kernel.name}.begin", device=device)
         self._m_launched.inc()
         if self._obs_enabled:
             # the host-side launch phase Comm|Scope's launch test times
@@ -240,10 +233,6 @@ class DeviceRuntime:
         device_idx = self._copy_owner(src, dst)
         dev = self.device(device_idx)
         stream = stream or dev.default_stream
-        self.trace.record(
-            self.env.now, "dma", f"{plan.kind.value}.begin",
-            device=device_idx, nbytes=nbytes, route=plan.route,
-        )
         self._m_dma_issued.inc()
         self._m_dma_bytes.inc(nbytes)
         cmd = CopyCommand(completion=self.env.event(), plan=plan, nbytes=nbytes)

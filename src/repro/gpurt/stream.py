@@ -61,9 +61,6 @@ class KernelCommand(Command):
             # downclock / thermal-throttle fault: the kernel runs slower
             duration *= injector.kernel_duration_factor(device.index)
         yield device.env.timeout(duration)
-        device.trace.record(
-            device.env.now, "kernel", f"{self.kernel.name}.end", device=device.index
-        )
         rt._m_completed.inc()
         if rt._obs_enabled:
             rt._tracer.complete(
@@ -91,18 +88,10 @@ class CopyCommand(Command):
             yield device.env.timeout(duration)
         finally:
             device.dma_engines.release(req)
-        device.trace.record(
-            device.env.now,
-            "dma",
-            f"{self.plan.kind.value}.end",
-            device=device.index,
-            nbytes=self.nbytes,
-            route=self.plan.route,
-        )
         if rt._obs_enabled:
             rt._tracer.complete(
                 f"dma:{self.plan.kind.value}", "gpurt", t_dma, device.env.now,
-                device=device.index, nbytes=self.nbytes,
+                device=device.index, nbytes=self.nbytes, route=self.plan.route,
             )
 
 

@@ -50,9 +50,10 @@ class StudyCellSource(Source):
     """A per-cell, per-repeat-count study source for adaptive sampling.
 
     ``resolve_n(path, n)`` runs *only* the table row the path names,
-    under a fresh study configured for ``n`` repeats, so the adaptive
-    loop can escalate one noisy cell without re-running the world.
-    Built rows are cached per ``(table, machine, n)``.
+    under a fresh serial study configured for ``n`` repeats, so the
+    adaptive loop can escalate one noisy cell without re-running the
+    world (a study at ``jobs`` > 1 would compute the row's whole roster
+    on its pool).  Built rows are cached per ``(table, machine, n)``.
     """
 
     def __init__(self, base: StudyConfig):
@@ -82,7 +83,7 @@ class StudyCellSource(Source):
         key = (table, machine_name.lower(), n)
         source = self._cache.get(key)
         if source is None:
-            study = Study(dataclasses.replace(self._base, runs=n))
+            study = Study(dataclasses.replace(self._base, runs=n, jobs=1))
             builder = {
                 "table4": build_table4,
                 "table5": build_table5,
@@ -147,8 +148,8 @@ def check_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for study cells (report is byte-identical "
-             "at any value)",
+        help="worker processes for the non-adaptive study's cells "
+             "(report is byte-identical at any value)",
     )
     parser.add_argument(
         "--ledger-run", type=str, default="", metavar="RUN",
@@ -181,9 +182,7 @@ def check_main(argv: list[str] | None = None) -> int:
                 n.strip() for n in args.only.split(",") if n.strip()
             )
         source = _build_source(args)
-        report = evaluate(
-            suite, source, adaptive=args.adaptive, jobs=max(args.jobs, 1)
-        )
+        report = evaluate(suite, source, adaptive=args.adaptive)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,6 @@ from ..errors import InjectedFault, MpiSimError
 from ..machines.base import Machine
 from ..obs import runtime as obs
 from ..sim.engine import Environment
-from ..sim.trace import TraceRecorder
 from .placement import RankLocation
 from .protocols import (
     EAGER_THRESHOLD,
@@ -372,7 +371,6 @@ class MpiWorld:
         machine: Machine,
         placement: list[RankLocation],
         env: Optional[Environment] = None,
-        trace: Optional[TraceRecorder] = None,
         eager_threshold: int = EAGER_THRESHOLD,
         transport=None,
         injector=None,
@@ -390,9 +388,6 @@ class MpiWorld:
         self.machine = machine
         self.placement = list(placement)
         self.env = env if env is not None else Environment()
-        #: explicit recorder wins; otherwise records flow into the active
-        #: observability tracer (or the shared null recorder when off)
-        self.trace = trace if trace is not None else obs.active_recorder()
         ctx = obs.current()
         self._obs_enabled = ctx.enabled
         self._tracer = ctx.tracer

@@ -312,7 +312,7 @@ def attributions_from_tracer(tracer) -> list[PhaseAttribution]:
     cells: list[list[Any]] = []
     loose: list[Any] = []
     group = loose
-    for record in tracer.span_records():
+    for record in tracer.records():
         if record.depth == 0:
             if record.category == "study":
                 group = []

@@ -7,8 +7,7 @@ is a JSON object with a ``traceEvents`` list; we emit:
   ``ts``/``dur``;
 * begin events (``ph: "B"``) for spans still open at export time,
   flagged ``args.unfinished`` so a crashed run's last open span is
-  visible instead of silently vanishing;
-* instant events (``ph: "i"``) for ``TraceRecorder`` records.
+  visible instead of silently vanishing.
 
 Two timelines coexist: spans carrying simulated time render under the
 ``pid`` :data:`PID_SIM`; wall-time-only spans (study cells) under
@@ -32,9 +31,8 @@ PID_WALL = 2
 
 def _tid_table(tracer: Tracer) -> dict[str, int]:
     categories = sorted(
-        {r.category for r in tracer.span_records()}
+        {r.category for r in tracer.records()}
         | {r.category for r in tracer.open_spans()}
-        | {e.category for e in tracer.events()}
     )
     return {category: idx + 1 for idx, category in enumerate(categories)}
 
@@ -95,22 +93,10 @@ def chrome_trace(tracer: Tracer) -> dict:
             })
     open_records = set(map(id, tracer.open_spans()))
     for record in tracer.records():
-        if isinstance(record, SpanRecord):
-            if record.finished:
-                events.append(_span_event(record, origin, tids))
-            elif id(record) in open_records:
-                events.append(_open_span_event(record, origin, tids))
-        else:  # TraceEvent instant
-            events.append({
-                "name": record.label,
-                "cat": record.category,
-                "ph": "i",
-                "s": "t",
-                "ts": record.time * 1e6,
-                "pid": PID_SIM,
-                "tid": tids[record.category],
-                "args": dict(record.attrs),
-            })
+        if record.finished:
+            events.append(_span_event(record, origin, tids))
+        elif id(record) in open_records:
+            events.append(_open_span_event(record, origin, tids))
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -180,12 +166,10 @@ def text_summary(
     """Human-readable digest of whatever observability data exists."""
     parts: list[str] = []
     if tracer is not None and tracer.enabled:
-        spans = tracer.span_records()
-        finished = sum(1 for s in spans if s.finished)
+        finished = sum(1 for s in tracer.records() if s.finished)
         parts.append(
             f"trace: {len(tracer)} records ({finished} finished spans, "
-            f"{len(tracer.open_spans())} open, {len(tracer.events())} "
-            f"instants, {tracer.dropped} dropped)"
+            f"{len(tracer.open_spans())} open, {tracer.dropped} dropped)"
         )
     if registry is not None and getattr(registry, "enabled", False):
         snapshot = registry.snapshot()

@@ -113,19 +113,6 @@ def observe(name: str, value: float) -> None:
         ctx.metrics.histogram(name).observe(value)
 
 
-def active_recorder():
-    """A ``TraceRecorder`` adapter over the active tracer (for models
-    taking the legacy recorder API), or ``NULL_TRACE`` when disabled."""
-    from ..sim.trace import NULL_TRACE, TraceRecorder
-
-    ctx = _current
-    if not ctx.enabled:
-        return NULL_TRACE
-    if getattr(ctx, "_recorder", None) is None:
-        ctx._recorder = TraceRecorder(tracer=ctx.tracer)
-    return ctx._recorder
-
-
 def activate(ctx: ObsContext) -> ObsContext:
     """Install ``ctx`` as the process-wide context; returns the previous
     one.  Installs/uninstalls the engine profiler hook as a side effect.

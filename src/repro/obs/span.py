@@ -1,21 +1,19 @@
-"""Nested spans and instant events over a bounded ring buffer.
+"""Nested spans over a bounded ring buffer.
 
-A :class:`Tracer` records two record kinds:
-
-* :class:`SpanRecord` — a named interval with begin/end in host
-  wall-time (always) and in simulated time (when the tracer view has a
-  sim clock).  Spans nest; the context-manager API enforces LIFO exit
-  order, and the manual ``begin``/``end`` API raises
-  :class:`~repro.errors.ObservabilityError` on violations.
-* :class:`TraceEvent` (from :mod:`repro.sim.trace`) — an instant event;
-  the legacy ``TraceRecorder`` adapter forwards into this.
+A :class:`Tracer` records one record kind, the :class:`SpanRecord`: a
+named interval with begin/end in host wall-time (always) and in
+simulated time (when the tracer view has a sim clock, or for a
+retrospective :meth:`Tracer.complete` span).  Spans nest; the
+context-manager API enforces LIFO exit order, and the manual
+``begin``/``end`` API raises :class:`~repro.errors.ObservabilityError`
+on violations.
 
 Storage is a bounded ring: once ``capacity`` records are held, new
-records are *dropped and counted* (never silently) — the same policy
-the old ``TraceRecorder`` used, so a runaway sweep cannot eat the heap.
-A :class:`NullTracer` singleton serves the disabled path: ``span()``
-returns one shared no-op context manager, so an instrumented hot path
-costs one method call when observability is off.
+records are *dropped and counted* (never silently), so a runaway sweep
+cannot eat the heap.  A :class:`NullTracer` singleton serves the
+disabled path: ``span()`` returns one shared no-op context manager, so
+an instrumented hot path costs one method call when observability is
+off.
 """
 
 from __future__ import annotations
@@ -26,12 +24,8 @@ from typing import Any, Callable, Optional
 
 from ..errors import ObservabilityError
 
-#: default ring capacity (records, spans and instants combined)
+#: default ring capacity (span records)
 DEFAULT_CAPACITY = 1 << 16
-
-#: lazily bound TraceEvent class (the import cycle with sim.trace keeps
-#: it out of module scope; binding once avoids a per-instant import)
-_TraceEvent = None
 
 
 @dataclass(slots=True)
@@ -99,7 +93,7 @@ class Span:
 
 
 class Tracer:
-    """Span + instant recorder with a bounded ring and drop accounting."""
+    """Span recorder with a bounded ring and drop accounting."""
 
     enabled = True
 
@@ -112,13 +106,13 @@ class Tracer:
             raise ObservabilityError(f"tracer capacity must be >= 1: {capacity}")
         self.capacity = capacity
         self._clock = clock
-        self._records: list[Any] = []
+        self._records: list[SpanRecord] = []
         self._stack: list[Span] = []
         self.dropped = 0
         self.wall_origin = time.perf_counter()
 
     # -- recording ---------------------------------------------------------
-    def _keep(self, record: Any) -> bool:
+    def _keep(self, record: SpanRecord) -> bool:
         if self.capacity is not None and len(self._records) >= self.capacity:
             self.dropped += 1
             return False
@@ -197,19 +191,9 @@ class Tracer:
             depth=len(self._stack), attrs=attrs,
         ))
 
-    def instant(self, sim_time: float, category: str, label: str,
-                attrs: Optional[dict] = None) -> None:
-        """Record one instant event (the ``TraceRecorder`` adapter path)."""
-        global _TraceEvent
-        if _TraceEvent is None:
-            from ..sim.trace import TraceEvent as _TraceEvent_cls
-            _TraceEvent = _TraceEvent_cls
-
-        self._keep(_TraceEvent(sim_time, category, label, attrs or {}))
-
     def absorb(
         self,
-        records: list,
+        records: list[SpanRecord],
         *,
         wall_origin: Optional[float] = None,
         dropped: int = 0,
@@ -231,21 +215,19 @@ class Tracer:
         if wall_origin is not None:
             offset = self.wall_origin - wall_origin
         for record in records:
-            if isinstance(record, SpanRecord):
-                record = SpanRecord(
-                    name=record.name,
-                    category=record.category,
-                    wall_begin=record.wall_begin + offset,
-                    wall_end=(
-                        None if record.wall_end is None
-                        else record.wall_end + offset
-                    ),
-                    sim_begin=record.sim_begin,
-                    sim_end=record.sim_end,
-                    depth=record.depth,
-                    attrs=dict(record.attrs),
-                )
-            self._keep(record)
+            self._keep(SpanRecord(
+                name=record.name,
+                category=record.category,
+                wall_begin=record.wall_begin + offset,
+                wall_end=(
+                    None if record.wall_end is None
+                    else record.wall_end + offset
+                ),
+                sim_begin=record.sim_begin,
+                sim_end=record.sim_end,
+                depth=record.depth,
+                attrs=dict(record.attrs),
+            ))
         if dropped:
             self.dropped += dropped
 
@@ -255,14 +237,8 @@ class Tracer:
         return ClockedTracer(self, clock)
 
     # -- reading -----------------------------------------------------------
-    def records(self) -> list[Any]:
+    def records(self) -> list[SpanRecord]:
         return list(self._records)
-
-    def span_records(self) -> list[SpanRecord]:
-        return [r for r in self._records if isinstance(r, SpanRecord)]
-
-    def events(self) -> list[Any]:
-        return [r for r in self._records if not isinstance(r, SpanRecord)]
 
     def open_spans(self) -> list[SpanRecord]:
         return [s._record for s in self._stack]
@@ -298,10 +274,6 @@ class ClockedTracer:
     def complete(self, name: str, category: str, sim_begin: float,
                  sim_end: float, **attrs: Any) -> None:
         self._tracer.complete(name, category, sim_begin, sim_end, **attrs)
-
-    def instant(self, sim_time: float, category: str, label: str,
-                attrs: Optional[dict] = None) -> None:
-        self._tracer.instant(sim_time, category, label, attrs)
 
 
 class _NullSpan:
@@ -343,10 +315,6 @@ class NullTracer:
                  sim_end: float, **attrs: Any) -> None:
         return None
 
-    def instant(self, sim_time: float, category: str, label: str,
-                attrs: Optional[dict] = None) -> None:
-        return None
-
     def absorb(self, records: list, *, wall_origin: Optional[float] = None,
                dropped: int = 0) -> None:
         return None
@@ -355,12 +323,6 @@ class NullTracer:
         return self
 
     def records(self) -> list:
-        return []
-
-    def span_records(self) -> list:
-        return []
-
-    def events(self) -> list:
         return []
 
     def open_spans(self) -> list:

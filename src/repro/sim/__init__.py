@@ -12,6 +12,6 @@ All benchmark "timings" in this package are read off the simulated clock,
 never the wall clock.
 
 Import from the submodules (:mod:`.engine`, :mod:`.resources`,
-:mod:`.random`, :mod:`.trace`): this package imports none of them, so
-loading the engine does not load numpy, which only :mod:`.random` needs.
+:mod:`.random`): this package imports none of them, so loading the
+engine does not load numpy, which only :mod:`.random` needs.
 """

@@ -20,8 +20,8 @@ def derive_seed(root_seed: int, *path: str) -> int:
     """Hash (root_seed, path components) into a 64-bit child seed.
 
     This is the one seed-derivation primitive in the codebase: every
-    stream — measurement noise, fault draws, per-cell substreams — is a
-    pure function of the root seed and a string path, never of *when*
+    stream — measurement noise, a cell's simulations, fault draws — is
+    a pure function of the root seed and a string path, never of *when*
     it was requested.  That statelessness is what makes the parallel
     study scheduler trivially deterministic: a worker process deriving
     the same path from the same root reproduces the exact generator the
@@ -34,20 +34,6 @@ def derive_seed(root_seed: int, *path: str) -> int:
         h.update(b"\x00")
         h.update(str(part).encode())
     return int.from_bytes(h.digest(), "little")
-
-
-#: backwards-compatible private alias (pre-parallel callers)
-_derive_seed = derive_seed
-
-
-def cell_seed(study_seed: int, machine: str, metric: str) -> int:
-    """The substream root for one study cell (machine x metric).
-
-    Namespaced under ``"cell"`` so cell roots can never collide with
-    the flat measurement-noise paths (``streams.get(machine, metric,
-    ...)``) that share the same study seed.
-    """
-    return derive_seed(study_seed, "cell", machine, metric)
 
 
 class RandomStreams:
@@ -63,20 +49,6 @@ class RandomStreams:
     def get(self, *path: str) -> np.random.Generator:
         """Return a generator unique to ``path`` (stable across calls)."""
         return np.random.default_rng(self.seed_for(*path))
-
-    def child(self, *path: str) -> "RandomStreams":
-        """A stream factory rooted at the child seed for ``path``.
-
-        ``streams.child("cell", machine, metric)`` hands a study cell
-        its own full stream hierarchy: the child derives the same seeds
-        whether it is built in the serial loop or in a worker process,
-        so cells are independent of execution order by construction.
-        """
-        return RandomStreams(self.seed_for(*path))
-
-    def cell(self, machine: str, metric: str) -> "RandomStreams":
-        """The per-cell substream hierarchy (see :func:`cell_seed`)."""
-        return RandomStreams(cell_seed(self.root_seed, machine, metric))
 
 
 @dataclass(frozen=True)

@@ -11,26 +11,27 @@ from repro.errors import BenchmarkConfigError
 from repro.gpurt.api import DeviceRuntime
 from repro.mpisim.transport import BufferKind
 from repro.netsim.cluster import Cluster, ClusterRankLocation
-from repro.sim.trace import TraceRecorder
+from repro.obs import ObsContext, observability
 
 
 class TestDmaUtilization:
     def _run_copies(self, machine, n_copies=3, nbytes=1 << 26):
-        trace = TraceRecorder()
-        rt = DeviceRuntime(machine, trace=trace)
-        bufs = [
-            (rt.alloc_host(nbytes, pinned=True), rt.alloc_device(0, nbytes))
-            for _ in range(n_copies)
-        ]
+        with observability(ObsContext.create()) as ctx:
+            rt = DeviceRuntime(machine)
+            bufs = [
+                (rt.alloc_host(nbytes, pinned=True),
+                 rt.alloc_device(0, nbytes))
+                for _ in range(n_copies)
+            ]
 
-        def host():
-            for src, dst in bufs:
-                yield from rt.memcpy_async(dst, src)
-                yield from rt.stream_synchronize(0)
-            return rt.env.now
+            def host():
+                for src, dst in bufs:
+                    yield from rt.memcpy_async(dst, src)
+                    yield from rt.stream_synchronize(0)
+                return rt.env.now
 
-        window = rt.run(host())
-        return trace, window
+            window = rt.run(host())
+        return ctx.tracer.records(), window
 
     def test_counts_transfers_and_bytes(self, frontier):
         trace, window = self._run_copies(frontier, n_copies=3)
@@ -49,11 +50,11 @@ class TestDmaUtilization:
         assert 20e9 < util[0].achieved_bandwidth < 26e9
 
     def test_empty_trace(self):
-        assert dma_utilization(TraceRecorder(), 1.0) == {}
+        assert dma_utilization([], 1.0) == {}
 
     def test_zero_window_rejected(self):
         with pytest.raises(BenchmarkConfigError):
-            dma_utilization(TraceRecorder(), 0.0)
+            dma_utilization([], 0.0)
 
 
 class TestLinkUsage:

@@ -256,19 +256,6 @@ class TestAdaptive:
         assert "adaptive: 3 repeats" in render_report(report)
 
 
-class TestJobsDeterminism:
-    def test_byte_identical_at_jobs_1_and_4(self, fast_check_source):
-        """The determinism property: evaluating a recorded study's
-        outputs renders byte-identically at any worker count."""
-        from repro.checks.paper_refs import paper_suite
-
-        suite = paper_suite()
-        serial = evaluate(suite, fast_check_source, jobs=1)
-        threaded = evaluate(suite, fast_check_source, jobs=4)
-        assert render_report(serial) == render_report(threaded)
-        assert render_report_json(serial) == render_report_json(threaded)
-
-
 class TestClassifyDelta:
     def test_change_requires_both_tests(self):
         # large but noisy: unchanged

@@ -64,16 +64,42 @@ class TestCellReuse:
         study.gpu_bandwidth(frontier)
         assert computed == [("Frontier", "babelstream-gpu")]
 
-    def test_user_built_machine_runs_on_every_request(self, computed,
-                                                      sawtooth):
+    def test_user_built_machine_runs_once_per_study(self, computed,
+                                                    sawtooth):
         from dataclasses import replace
 
         mutated = replace(sawtooth, location="elsewhere")
         study = Study(StudyConfig(runs=2, seed=7))
-        study.host_latency(mutated, PairKind.ON_SOCKET)
-        study.host_latency(mutated, PairKind.ON_SOCKET)
+        first = study.host_latency(mutated, PairKind.ON_SOCKET)
+        assert study.host_latency(mutated, PairKind.ON_SOCKET) is first
+        assert computed == [("Sawtooth", "osu", "on-socket")]
+        # another object under the same label is computed on its own
+        other = replace(sawtooth, location="elsewhere")
+        study.host_latency(other, PairKind.ON_SOCKET)
         assert computed == [("Sawtooth", "osu", "on-socket")] * 2
         assert study.parallel_stats()["cells"] == 0
+
+    def test_user_built_machine_is_observed_once(self, sawtooth):
+        # every cell of a renamed machine degrades; building its Table 4
+        # twice logs, counts and traces each of the 4 cells once
+        from dataclasses import replace
+
+        from repro.core.tables import build_table4
+        from repro.faults.models import FaultPlan, NodeFailure
+        from repro.obs import ObsContext, observability
+
+        custom = replace(sawtooth, name="Custom")
+        study = Study(StudyConfig(
+            runs=2, seed=7, max_retries=0,
+            faults=FaultPlan("fail", (NodeFailure(probability=1.0),)),
+        ))
+        with observability(ObsContext.create()) as ctx:
+            build_table4(study, [custom])
+            build_table4(study, [custom])
+        assert study.resilience.degraded_count == 4
+        assert ctx.metrics.counter("study.cell.completed").value == 4
+        cells = [r for r in ctx.tracer.records() if r.category == "study"]
+        assert len(cells) == 4
 
 
 class TestCellExecutionError:

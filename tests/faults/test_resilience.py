@@ -168,17 +168,6 @@ class TestStudyConfigValidation:
         with pytest.raises(BenchmarkConfigError, match="faults"):
             StudyConfig(faults="chaos")  # must be a FaultPlan, not a name
 
-    def test_latency_sweep_sizes_monotone(self):
-        with pytest.raises(BenchmarkConfigError, match="empty"):
-            StudyConfig(latency_sweep_sizes=())
-        with pytest.raises(BenchmarkConfigError, match="increasing"):
-            StudyConfig(latency_sweep_sizes=(0, 8, 4))
-        with pytest.raises(BenchmarkConfigError, match="increasing"):
-            StudyConfig(latency_sweep_sizes=(0, 8, 8))
-        with pytest.raises(BenchmarkConfigError, match="ints >= 0"):
-            StudyConfig(latency_sweep_sizes=(-1, 8))
-        StudyConfig(latency_sweep_sizes=(0, 1, 2, 4))
-
     def test_config_error_is_repro_error(self):
         with pytest.raises(ReproError):
             StudyConfig(runs=0)

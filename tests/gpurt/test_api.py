@@ -7,9 +7,9 @@ from repro.gpurt.api import DeviceRuntime
 from repro.gpurt.kernel import EMPTY_KERNEL, stream_kernel
 from repro.machines.registry import get_machine
 from repro.memsys.writealloc import TRIAD
+from repro.obs import ObsContext, observability
 from repro.obs.profiler import SimProfiler
 from repro.sim.engine import profiled
-from repro.sim.trace import TraceRecorder
 from repro.units import to_us, us
 
 
@@ -170,18 +170,21 @@ class TestCopyExecution:
             rt.run(host())
 
     def test_trace_records_route(self, frontier):
-        trace = TraceRecorder()
-        rt = DeviceRuntime(frontier, trace=trace)
-        src = rt.alloc_device(0, 128)
-        dst = rt.alloc_device(2, 128)  # class D: staged via gpu1
+        with observability(ObsContext.create()) as ctx:
+            rt = DeviceRuntime(frontier)
+            src = rt.alloc_device(0, 128)
+            dst = rt.alloc_device(2, 128)  # class D: staged via gpu1
 
-        def host():
-            yield from rt.memcpy_async(dst, src)
-            yield from rt.stream_synchronize(0)
+            def host():
+                yield from rt.memcpy_async(dst, src)
+                yield from rt.stream_synchronize(0)
 
-        rt.run(host())
-        begins = trace.filter(category="dma", label="device-to-device.begin")
-        assert begins and begins[0].attrs["route"] == ("gpu0", "gpu1", "gpu2")
+            rt.run(host())
+        [copy] = [
+            r for r in ctx.tracer.records()
+            if r.name == "dma:device-to-device"
+        ]
+        assert copy.attrs["route"] == ("gpu0", "gpu1", "gpu2")
 
     def test_dma_engines_limit_concurrency(self, frontier):
         """Three concurrent copies on one device share 2 DMA engines."""

@@ -132,6 +132,25 @@ class TestAdaptive:
         assert result["status"] == "pass"
         assert result["repeats"] >= 3
 
+    def test_row_study_computes_only_its_row(self, monkeypatch):
+        """A per-row study is serial whatever the base ``jobs``: a pool
+        would compute the machine class's whole roster for one row."""
+        from repro.core.config import StudyConfig
+        from repro.harness import check_cli
+
+        studies = []
+
+        class Recorded(check_cli.Study):
+            def __init__(self, config):
+                super().__init__(config)
+                studies.append(self)
+
+        monkeypatch.setattr(check_cli, "Study", Recorded)
+        source = check_cli.StudyCellSource(StudyConfig(runs=2, jobs=2))
+        source.resolve("table4.sawtooth.single")
+        [study] = studies
+        assert study.parallel_stats()["cells"] == 4
+
     def test_adaptive_rejects_metrics_paths(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "s.json", value=1.0)
         code = check_main(["--spec", spec, "--adaptive"])

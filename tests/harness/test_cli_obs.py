@@ -103,7 +103,7 @@ class TestTraceGolden:
 
     def test_event_schema(self, trace):
         for event in trace["traceEvents"]:
-            assert event["ph"] in ("M", "X", "B", "i")
+            assert event["ph"] in ("M", "X", "B")
             assert isinstance(event["ts"], (int, float))
             assert isinstance(event["pid"], int)
             assert isinstance(event["tid"], int)
@@ -117,6 +117,20 @@ class TestTraceGolden:
 
     def test_no_spans_left_open(self, trace):
         assert not [e for e in trace["traceEvents"] if e["ph"] == "B"]
+
+
+def test_exact_trace_holds_only_spans(tmp_path):
+    """Every GPU runtime phase is one span: no instant events, and each
+    ``dma:`` span carries the copy's device, size and route."""
+    path = tmp_path / "trace.json"
+    assert main(["table6", "--exact", "--runs", "2", "--quiet",
+                 "--trace-out", str(path)]) == 0
+    events = json.loads(path.read_text())["traceEvents"]
+    assert {e["ph"] for e in events} == {"M", "X"}
+    dma = [e for e in events if e["name"].startswith("dma:")]
+    assert dma
+    for event in dma:
+        assert {"device", "nbytes", "route"} <= event["args"].keys()
 
 
 class TestMetricsGolden:

@@ -140,7 +140,7 @@ def test_each_window_equals_the_scan_over_its_own_cell():
         build_table5(study)
         build_table6(study)
     expected = []
-    for record in ctx.tracer.span_records():
+    for record in ctx.tracer.records():
         if record.category != "study":
             continue
         label = tuple(record.name.split("/"))

@@ -3,18 +3,16 @@ span-vs-counter cross-check — test helpers beside :mod:`.scan_oracle`.
 
 :func:`repro.obs.export.chrome_trace` writes traces for humans (load
 in Perfetto); :class:`TraceDocument` parses one back — a trace file or
-the in-memory dict — into :class:`~repro.obs.analyze.ReadSpan` /
-:class:`ReadInstant` records with the original categories, timelines
-(simulated vs host wall-time) and second-denominated timestamps, so
-tests can hold the exporter to a lossless round trip and feed recorded
-traces to the attribution.
+the in-memory dict — into :class:`~repro.obs.analyze.ReadSpan` records
+with the original categories, timelines (simulated vs host wall-time)
+and second-denominated timestamps, so tests can hold the exporter to a
+lossless round trip and feed recorded traces to the attribution.
 
 Every event the exporter can write is reconstructible:
 
 * ``ph: "X"`` complete events → finished :class:`ReadSpan`;
 * ``ph: "B"`` begin events (spans still open at export) → unfinished
   :class:`ReadSpan` with ``end = None``;
-* ``ph: "i"`` instants → :class:`ReadInstant`;
 * ``ph: "M"`` metadata → the process/lane name tables.
 
 Anything structurally off — missing required keys, an unknown phase, a
@@ -30,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.errors import TraceAnalysisError
 from repro.obs.analyze import ReadSpan
@@ -39,22 +37,11 @@ from repro.obs.export import PID_SIM, PID_WALL
 _US = 1e-6
 
 
-@dataclass(frozen=True)
-class ReadInstant:
-    """One instant event read back from a trace."""
-
-    name: str
-    category: str
-    time: float
-    args: dict[str, Any] = field(default_factory=dict)
-
-
 @dataclass
 class TraceDocument:
-    """A fully parsed trace: spans, instants and the name tables."""
+    """A fully parsed trace: spans and the name tables."""
 
     spans: list[ReadSpan] = field(default_factory=list)
-    instants: list[ReadInstant] = field(default_factory=list)
     #: pid -> timeline label ("simulated time", "host wall time")
     processes: dict[int, str] = field(default_factory=dict)
     #: (pid, tid) -> category lane name
@@ -147,15 +134,6 @@ class TraceDocument:
                 args=args,
             ))
             return
-        if ph == "i":
-            self._require(event, ("name", "cat", "ts", "pid", "tid"))
-            self.instants.append(ReadInstant(
-                name=event["name"],
-                category=event["cat"],
-                time=event["ts"] * _US,
-                args=dict(event.get("args", {})),
-            ))
-            return
         raise TraceAnalysisError(f"unknown trace phase {ph!r}")
 
     # -- queries -----------------------------------------------------------
@@ -169,9 +147,7 @@ class TraceDocument:
         return [s for s in self.spans if s.category == category]
 
     def categories(self) -> set[str]:
-        return {s.category for s in self.spans} | {
-            i.category for i in self.instants
-        }
+        return {s.category for s in self.spans}
 
     def cell_windows(self, category: str = "benchmarks") -> list[ReadSpan]:
         """The benchmark *cell windows*: sim-time spans the instrumented

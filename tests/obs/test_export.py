@@ -20,7 +20,7 @@ def _loaded_tracer() -> Tracer:
     tr = Tracer()
     with tr.span("cell", "study"):
         tr.complete("send.eager", "mpisim", 1e-6, 3e-6, nbytes=8)
-        tr.instant(2e-6, "dma", "h2d.begin")
+        tr.complete("dma:host-to-device", "gpurt", 2e-6, 3e-6)
     return tr
 
 
@@ -28,13 +28,11 @@ class TestChromeTraceSchema:
     def test_event_phases_and_required_keys(self):
         events = chrome_trace(_loaded_tracer())["traceEvents"]
         phases = {e["ph"] for e in events}
-        assert phases == {"M", "X", "i"}
+        assert phases == {"M", "X"}
         for event in events:
             assert {"name", "ph", "ts", "pid", "tid"} <= event.keys()
             if event["ph"] == "X":
                 assert "dur" in event and "cat" in event
-            if event["ph"] == "i":
-                assert event["s"] == "t"
 
     def test_two_timelines(self):
         events = chrome_trace(_loaded_tracer())["traceEvents"]
@@ -53,10 +51,10 @@ class TestChromeTraceSchema:
             for e in events if e["ph"] == "M" and e["name"] == "thread_name"
         }
         lanes = set(names.values())
-        assert {"study", "mpisim", "dma"} <= lanes
-        # span/instant tids all resolve to a named lane
+        assert {"study", "mpisim", "gpurt"} <= lanes
+        # span tids all resolve to a named lane
         for event in events:
-            if event["ph"] in ("X", "i"):
+            if event["ph"] == "X":
                 assert (event["pid"], event["tid"]) in names
 
     def test_drop_accounting_exported(self):

@@ -4,7 +4,6 @@ from repro.obs import NULL_CONTEXT, NULL_METRICS, NULL_TRACER, ObsContext
 from repro.obs import runtime as obs
 from repro.obs.metrics import DECLARED_COUNTERS
 from repro.sim import engine
-from repro.sim.trace import NULL_TRACE
 
 
 class TestDefaultContext:
@@ -18,9 +17,6 @@ class TestDefaultContext:
         obs.count("mpisim.send.eager", 5)
         obs.observe("gpurt.kernel.queue_wait_us", 1.0)
         assert len(NULL_TRACER) == 0
-
-    def test_active_recorder_is_shared_null(self):
-        assert obs.active_recorder() is NULL_TRACE
 
 
 class TestActivation:
@@ -59,14 +55,6 @@ class TestActivation:
             assert snap[name] == {"type": "counter", "value": 0}
         subsystems = {name.split(".")[0] for name in snap}
         assert {"mpisim", "netsim", "gpurt", "faults", "study"} <= subsystems
-
-    def test_active_recorder_routes_into_context_tracer(self):
-        ctx = ObsContext.create()
-        with obs.observability(ctx):
-            rec = obs.active_recorder()
-            rec.record(1.0, "dma", "h2d.begin")
-            assert obs.active_recorder() is rec  # one shared adapter
-        assert len(ctx.tracer.events()) == 1
 
 
 class TestAttributions:
@@ -130,7 +118,7 @@ class TestInstrumentedWorld:
             )
         assert latency > 0
         assert ctx.metrics.counter("mpisim.send.eager").value > 0
-        spans = ctx.tracer.span_records()
+        spans = ctx.tracer.records()
         assert any(s.name == "send.eager" for s in spans)
         assert all(s.sim_duration >= 0 for s in spans if s.finished)
 

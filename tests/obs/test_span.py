@@ -11,7 +11,7 @@ class TestNesting:
         tr = Tracer()
         with tr.span("outer", "study") as span:
             span.set(machine="sawtooth")
-        [record] = tr.span_records()
+        [record] = tr.records()
         assert record.name == "outer"
         assert record.category == "study"
         assert record.finished
@@ -24,7 +24,7 @@ class TestNesting:
             with tr.span("middle"):
                 with tr.span("inner"):
                     pass
-        depths = {r.name: r.depth for r in tr.span_records()}
+        depths = {r.name: r.depth for r in tr.records()}
         assert depths == {"outer": 0, "middle": 1, "inner": 2}
 
     def test_exception_closes_span_and_tags_error(self):
@@ -32,7 +32,7 @@ class TestNesting:
         with pytest.raises(ValueError):
             with tr.span("doomed"):
                 raise ValueError("boom")
-        [record] = tr.span_records()
+        [record] = tr.records()
         assert record.finished
         assert record.attrs["error"] == "ValueError"
         assert tr.open_spans() == []
@@ -86,20 +86,12 @@ class TestRingBuffer:
         assert len(tr) == 3
         assert tr.dropped == 7
         # the oldest records are the ones kept (drop-new policy)
-        assert [r.name for r in tr.span_records()] == ["s0", "s1", "s2"]
-
-    def test_instants_share_the_ring(self):
-        tr = Tracer(capacity=2)
-        tr.instant(0.0, "dma", "a")
-        tr.complete("s", "c", 0.0, 1.0)
-        tr.instant(1.0, "dma", "b")
-        assert len(tr) == 2
-        assert tr.dropped == 1
+        assert [r.name for r in tr.records()] == ["s0", "s1", "s2"]
 
     def test_unbounded_tracer(self):
         tr = Tracer(capacity=None)
         for i in range(100):
-            tr.instant(float(i), "c", "l")
+            tr.complete("l", "c", float(i), float(i))
         assert len(tr) == 100
         assert tr.dropped == 0
 
@@ -109,8 +101,8 @@ class TestRingBuffer:
 
     def test_clear_resets_drop_count(self):
         tr = Tracer(capacity=1)
-        tr.instant(0.0, "c", "a")
-        tr.instant(0.0, "c", "b")
+        tr.complete("a", "c", 0.0, 0.0)
+        tr.complete("b", "c", 0.0, 0.0)
         assert tr.dropped == 1
         tr.clear()
         assert len(tr) == 0
@@ -124,7 +116,7 @@ class TestSimClock:
         view = tr.with_clock(lambda: now["t"])
         with view.span("timed", "mpisim"):
             now["t"] = 2.5
-        [record] = tr.span_records()
+        [record] = tr.records()
         assert record.sim_begin == 1.5
         assert record.sim_end == 2.5
         assert record.sim_duration == 1.0
@@ -132,7 +124,7 @@ class TestSimClock:
     def test_retrospective_complete_span(self):
         tr = Tracer()
         tr.complete("xfer", "netsim", 3.0, 7.0, nbytes=64)
-        [record] = tr.span_records()
+        [record] = tr.records()
         assert record.finished
         assert record.sim_duration == 4.0
         assert record.attrs["nbytes"] == 64
@@ -147,7 +139,6 @@ class TestNullTracer:
 
     def test_records_nothing(self):
         NULL_TRACER.complete("s", "c", 0.0, 1.0)
-        NULL_TRACER.instant(0.0, "c", "l")
         assert len(NULL_TRACER) == 0
         assert NULL_TRACER.records() == []
         assert NULL_TRACER.with_clock(lambda: 0.0) is NULL_TRACER
@@ -162,7 +153,7 @@ class TestAbsorb:
         donor = T()
         with donor.span("cell", "study", machine="sawtooth"):
             donor.complete("xfer", "netsim", 3.0, 7.0, nbytes=64)
-        donor.instant(1.0, "mpisim", "match")
+        donor.complete("match", "mpisim", 1.0, 1.0)
         return donor
 
     def test_absorb_copies_records(self):
@@ -170,8 +161,8 @@ class TestAbsorb:
         parent = Tracer()
         parent.absorb(donor.records(), wall_origin=donor.wall_origin)
         assert len(parent) == len(donor)
-        donor_spans = donor.span_records()
-        parent_spans = parent.span_records()
+        donor_spans = donor.records()
+        parent_spans = parent.records()
         for mine, theirs in zip(parent_spans, donor_spans):
             assert mine is not theirs
             assert mine.attrs == theirs.attrs
@@ -181,17 +172,16 @@ class TestAbsorb:
         donor = self._donor()
         parent = Tracer()
         parent.absorb(donor.records(), wall_origin=donor.wall_origin)
-        xfer = [r for r in parent.span_records() if r.name == "xfer"][0]
-        assert (xfer.sim_begin, xfer.sim_end) == (3.0, 7.0)
-        [event] = parent.events()
-        assert event.time == 1.0
+        times = {r.name: (r.sim_begin, r.sim_end) for r in parent.records()}
+        assert times["xfer"] == (3.0, 7.0)
+        assert times["match"] == (1.0, 1.0)
 
     def test_wall_times_rebase_onto_parent_origin(self):
         donor = self._donor()
         parent = Tracer()
         parent.absorb(donor.records(), wall_origin=donor.wall_origin)
         offset = parent.wall_origin - donor.wall_origin
-        for mine, theirs in zip(parent.span_records(), donor.span_records()):
+        for mine, theirs in zip(parent.records(), donor.records()):
             assert mine.wall_begin == theirs.wall_begin + offset
             assert mine.wall_duration == pytest.approx(theirs.wall_duration)
 
@@ -204,7 +194,7 @@ class TestAbsorb:
         parent = Tracer()
         parent.absorb(donor.records(), wall_origin=donor.wall_origin)
         parent.absorb(donor.records(), wall_origin=donor.wall_origin)
-        spans = [r for r in parent.span_records() if r.name == "cell"]
+        spans = [r for r in parent.records() if r.name == "cell"]
         assert len(spans) == 2
         assert spans[0].wall_begin == spans[1].wall_begin
 

@@ -51,7 +51,7 @@ def _study_outputs(jobs: int, faults: str = "none", cache_dir=None):
         # host wall times vary run to run; everything else is exact
         "spans": [
             (r.name, r.category, r.sim_begin, r.sim_end, r.depth)
-            for r in ctx.tracer.span_records()
+            for r in ctx.tracer.records()
         ],
         "attributions": [a.to_json() for a in ctx.attributions()],
     }

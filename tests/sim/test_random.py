@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.random import NoiseModel, RandomStreams, cell_seed, derive_seed
+from repro.sim.random import NoiseModel, RandomStreams
 
 
 class TestRandomStreams:
@@ -35,52 +35,36 @@ class TestRandomStreams:
 
 
 class TestHierarchicalSeeds:
-    """The stateless derivation contract the parallel scheduler rests on."""
+    """The stateless derivation contract the parallel scheduler rests
+    on, over the flat ``(machine, metric, ...)`` paths a study's cells
+    draw from."""
 
     def test_distinct_cells_distinct_streams(self):
-        a = RandomStreams(9).cell("Frontier", "osu").get("run").random(4)
-        b = RandomStreams(9).cell("Frontier", "cs").get("run").random(4)
-        c = RandomStreams(9).cell("Summit", "osu").get("run").random(4)
+        streams = RandomStreams(9)
+        a = streams.get("Frontier", "osu", "on-socket").random(4)
+        b = streams.get("Frontier", "cs", "launch").random(4)
+        c = streams.get("Summit", "osu", "on-socket").random(4)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_same_cell_is_schedule_invariant(self):
-        # a worker rebuilding the cell hierarchy from scratch must land
-        # on the same generators regardless of what was derived before
+        # a worker deriving a cell's path from scratch must land on the
+        # same generator regardless of what was derived before
         parent = RandomStreams(9)
         parent.get("some", "other", "cell")  # unrelated prior derivation
-        a = parent.cell("Eagle", "osu").get("on-socket").random(8)
-        b = RandomStreams(9).cell("Eagle", "osu").get("on-socket").random(8)
+        a = parent.get("Eagle", "osu", "on-socket").random(8)
+        b = RandomStreams(9).get("Eagle", "osu", "on-socket").random(8)
         np.testing.assert_array_equal(a, b)
-
-    def test_cell_namespace_never_shadows_flat_paths(self):
-        # cell roots live under "cell"; the flat measurement path with
-        # the same components must stay a different stream
-        assert cell_seed(9, "Frontier", "osu") != derive_seed(
-            9, "Frontier", "osu"
-        )
-
-    def test_child_matches_explicit_derivation(self):
-        streams = RandomStreams(123)
-        assert (
-            streams.child("cell", "Theta", "babelstream-cpu").root_seed
-            == cell_seed(123, "Theta", "babelstream-cpu")
-        )
 
     def test_no_collisions_across_full_roster(self):
         # every cell the scheduler can ever plan, both machine classes,
-        # must map to a unique substream root
+        # must draw from a unique stream
         from repro.core.parallel import plan_tasks
 
         labels = [t.label() for t in plan_tasks("cpu") + plan_tasks("gpu")]
-        seeds = {cell_seed(20230612, lbl[0], "/".join(lbl[1:]))
-                 for lbl in labels}
+        streams = RandomStreams(20230612)
+        seeds = {streams.seed_for(*label) for label in labels}
         assert len(seeds) == len(labels) == 52
-
-    def test_derive_seed_alias_kept(self):
-        from repro.sim.random import _derive_seed
-
-        assert _derive_seed is derive_seed
 
 
 class TestNoiseModel:
