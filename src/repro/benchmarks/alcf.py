@@ -16,14 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import BenchmarkConfigError
 from ..machines.base import Machine
 from ..mpisim.placement import RankLocation
 from ..mpisim.transport import BufferKind
 from ..mpisim.world import MpiWorld, RankContext
-from ..sim.random import NOISE_LATENCY, NoiseModel
+from ..sim.random import NOISE_LATENCY, Generator, NoiseModel
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ def alcf_latency(
     machine: Machine,
     pair: tuple[RankLocation, RankLocation],
     nbytes: int = 0,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     noise: NoiseModel = NOISE_LATENCY,
 ) -> AlcfLatencyResult:
     """One binary execution of the ALCF-style latency test."""

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ...errors import BenchmarkConfigError
 from ...machines.base import Machine
 from ...memsys.scaling import team_bandwidth
-from ...memsys.writealloc import ALL_KERNELS, KernelTraffic
+from ...memsys.writealloc import ALL_KERNELS
 from ...openmp.env import OmpEnvironment
 from ...openmp.team import ThreadTeam, build_team
-from ...sim.random import NOISE_CPU_BANDWIDTH, NoiseModel
-from .kernels import StreamArrays
+from ...sim.random import NOISE_CPU_BANDWIDTH, Generator, NoiseModel
+from .kernels import validate_kernels
 
 #: OpenMP parallel-region entry/exit cost (fork + barrier), seconds.
 OMP_REGION_OVERHEAD_SINGLE = 0.5e-6
@@ -59,26 +57,11 @@ def _region_overhead(team: ThreadTeam) -> float:
     )
 
 
-def kernel_duration(
-    team: ThreadTeam,
-    machine: Machine,
-    kernel: KernelTraffic,
-    array_bytes: int,
-) -> float:
-    """Simulated wall time of one iteration of ``kernel``."""
-    cal = machine.calibration.cpu_stream
-    if cal is None:
-        raise BenchmarkConfigError(f"{machine.name} has no CPU stream calibration")
-    raw_bw = team_bandwidth(machine.node, cal, team)
-    actual = kernel.actual_bytes(array_bytes, cal.write_allocate)
-    return _region_overhead(team) + actual / raw_bw
-
-
 def run_cpu_config(
     machine: Machine,
     env: OmpEnvironment,
     array_bytes: int,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     noise: NoiseModel = NOISE_CPU_BANDWIDTH,
     num_times: int = DEFAULT_NUM_TIMES,
     validate: bool = True,
@@ -101,13 +84,9 @@ def run_cpu_config(
     jitter = 1.0 if rng is None else noise.sample(rng, 1.0)
 
     if validate:
-        # Run the real kernels on a small array; the check failing would
-        # poison every reported figure, as in upstream BabelStream.
-        arrays = StreamArrays(1024)
-        arrays.run_all(repetitions=1)
-        arrays.dot()
-        if not arrays.check_solution(repetitions=1):
-            raise BenchmarkConfigError("BabelStream validation failed")
+        # the check failing would poison every reported figure, as in
+        # upstream BabelStream
+        validate_kernels()
 
     raw_bw = team_bandwidth(machine.node, cal, team) * jitter
     if machine.node.cpu.memory_mode is not None:

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ...errors import BenchmarkConfigError
 from ...machines.base import Machine
 from ...memsys.writealloc import ALL_KERNELS
 from ...gpurt.api import DeviceRuntime
 from ...gpurt.kernel import stream_kernel
-from ...sim.random import NOISE_BANDWIDTH, NoiseModel
-from .kernels import StreamArrays
+from ...sim.random import NOISE_BANDWIDTH, Generator, NoiseModel
+from .kernels import validate_kernels
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,7 @@ def run_gpu_stream(
     machine: Machine,
     array_bytes: int,
     device: int = 0,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     noise: NoiseModel = NOISE_BANDWIDTH,
     validate: bool = True,
     injector=None,
@@ -64,11 +62,7 @@ def run_gpu_stream(
         )
 
     if validate:
-        arrays = StreamArrays(1024)
-        arrays.run_all(repetitions=1)
-        arrays.dot()
-        if not arrays.check_solution(repetitions=1):
-            raise BenchmarkConfigError("BabelStream validation failed")
+        validate_kernels()
 
     rt = DeviceRuntime(machine, injector=injector)
     jitter = 1.0 if rng is None else noise.sample(rng, 1.0)

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ...errors import BenchmarkConfigError
 from ...machines.base import Machine
 from ...openmp.env import OmpEnvironment, table1_configurations
-from ...sim.random import RandomStreams
+from ...sim.random import RandomStreams, sample_mean, sample_std
 from .cpu import run_cpu_config
 from .gpu import run_gpu_stream
 
@@ -41,15 +39,15 @@ class BestResult:
     op: str
     array_bytes: int
     #: per-execution reported bandwidths for the winner, bytes/second
-    samples: np.ndarray
+    samples: list[float]
 
     @property
     def mean(self) -> float:
-        return float(self.samples.mean())
+        return sample_mean(self.samples)
 
     @property
     def std(self) -> float:
-        return float(self.samples.std(ddof=1)) if len(self.samples) > 1 else 0.0
+        return sample_std(self.samples)
 
 
 def best_cpu_bandwidth(
@@ -99,9 +97,8 @@ def best_cpu_bandwidth(
             for op, bw in result.reported.items():
                 per_op.setdefault(op, []).append(bw)
         for op, values in per_op.items():
-            samples = np.asarray(values)
-            if best is None or samples.mean() > best.mean:
-                best = BestResult(machine.name, env, op, array_bytes, samples)
+            if best is None or sample_mean(values) > best.mean:
+                best = BestResult(machine.name, env, op, array_bytes, values)
     assert best is not None
     return best
 
@@ -139,9 +136,8 @@ def best_gpu_bandwidth(
             per_op.setdefault(op, []).append(bw)
     best: BestResult | None = None
     for op, values in per_op.items():
-        samples = np.asarray(values)
-        if best is None or samples.mean() > best.mean:
-            best = BestResult(machine.name, None, op, array_bytes, samples)
+        if best is None or sample_mean(values) > best.mean:
+            best = BestResult(machine.name, None, op, array_bytes, values)
     assert best is not None
     return best
 

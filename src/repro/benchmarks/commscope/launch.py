@@ -8,13 +8,11 @@ and the per-iteration figure is the launch call's host cost.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...errors import BenchmarkConfigError
 from ...gpurt.api import DeviceRuntime
 from ...gpurt.kernel import EMPTY_KERNEL
 from ...machines.base import Machine
-from ...sim.random import NOISE_LAUNCH, NoiseModel
+from ...sim.random import NOISE_LAUNCH, Generator, NoiseModel
 from .iteration import IterationController, run_adaptive
 
 #: kernels launched per DES probe batch (enough to amortise queue state)
@@ -24,7 +22,7 @@ PROBE_BATCH = 8
 def launch_latency(
     machine: Machine,
     device: int = 0,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     noise: NoiseModel = NOISE_LAUNCH,
     injector=None,
     max_events: int | None = None,

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ...errors import BenchmarkConfigError
 from ...gpurt.api import DeviceRuntime
 from ...gpurt.buffers import Buffer
 from ...hardware.topology import LinkClass
 from ...machines.base import Machine
 from ...obs import runtime as obs_runtime
-from ...sim.random import NOISE_BANDWIDTH, NOISE_LATENCY, NoiseModel
+from ...sim.random import NOISE_BANDWIDTH, NOISE_LATENCY, Generator, NoiseModel
 
 #: the paper's transfer sizes
 LATENCY_BYTES = 128
@@ -60,7 +58,7 @@ def memcpy_pinned_to_gpu(
     machine: Machine,
     nbytes: int,
     device: int = 0,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     noise: NoiseModel | None = None,
     injector=None,
     max_events: int | None = None,
@@ -83,7 +81,7 @@ def memcpy_gpu_to_pinned(
     machine: Machine,
     nbytes: int,
     device: int = 0,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     noise: NoiseModel | None = None,
     injector=None,
     max_events: int | None = None,
@@ -102,7 +100,7 @@ def memcpy_d2d(
     src_device: int,
     dst_device: int,
     nbytes: int,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     noise: NoiseModel | None = None,
     injector=None,
     max_events: int | None = None,
@@ -123,7 +121,7 @@ def memcpy_d2d(
 def d2d_by_class(
     machine: Machine,
     nbytes: int = LATENCY_BYTES,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     noise: NoiseModel | None = None,
     injector=None,
     max_events: int | None = None,
@@ -142,7 +140,7 @@ def d2d_by_class(
 def _jitter(
     seconds: float,
     nbytes: int,
-    rng: np.random.Generator | None,
+    rng: Generator | None,
     noise: NoiseModel | None,
 ) -> float:
     if rng is None:

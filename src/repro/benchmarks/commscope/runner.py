@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ...errors import BenchmarkConfigError
 from ...hardware.topology import LinkClass
 from ...machines.base import Machine
+from ...sim.random import Generator
 from ...units import to_gb_per_s, to_us
 from .launch import launch_latency
 from .memcpy_tests import (
@@ -54,7 +53,7 @@ class CommScopeResults:
 def run_commscope(
     machine: Machine,
     device: int = 0,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     injector=None,
     max_events: int | None = None,
 ) -> CommScopeResults:

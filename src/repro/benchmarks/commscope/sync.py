@@ -6,12 +6,10 @@ when nothing is queued (paper section 3.2).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...errors import BenchmarkConfigError
 from ...gpurt.api import DeviceRuntime
 from ...machines.base import Machine
-from ...sim.random import NOISE_LAUNCH, NoiseModel
+from ...sim.random import NOISE_LAUNCH, Generator, NoiseModel
 from .iteration import IterationController, run_adaptive
 
 PROBE_BATCH = 8
@@ -20,7 +18,7 @@ PROBE_BATCH = 8
 def sync_latency(
     machine: Machine,
     device: int = 0,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     noise: NoiseModel = NOISE_LAUNCH,
     injector=None,
     max_events: int | None = None,

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ...errors import BenchmarkConfigError
 from ...machines.base import Machine
 from ...mpisim.placement import RankLocation
@@ -29,7 +27,7 @@ from ...mpisim.protocols import (
 from ...mpisim.transport import BufferKind
 from ...mpisim.world import MpiWorld, RankContext
 from ...obs import runtime as obs_runtime
-from ...sim.random import NOISE_LATENCY, NoiseModel
+from ...sim.random import NOISE_LATENCY, Generator, NoiseModel
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ def osu_latency(
     pair: tuple[RankLocation, RankLocation],
     nbytes: int = 0,
     buffer: BufferKind = BufferKind.HOST,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     noise: NoiseModel = NOISE_LATENCY,
     injector=None,
     max_events: int | None = None,

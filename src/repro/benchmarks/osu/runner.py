@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
 from ...errors import BenchmarkConfigError
 from ...hardware.topology import LinkClass
 from ...machines.base import Machine
 from ...mpisim.placement import device_pair, on_node_pair, on_socket_pair
 from ...mpisim.transport import BufferKind
-from ...sim.random import NOISE_LATENCY, NoiseModel
+from ...sim.random import NOISE_LATENCY, Generator, NoiseModel
 from .latency import LatencyResult, osu_latency
 
 
@@ -30,7 +28,7 @@ def latency_for_pair(
     machine: Machine,
     kind: PairKind,
     nbytes: int = 0,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     noise: NoiseModel = NOISE_LATENCY,
     injector=None,
     max_events: int | None = None,
@@ -51,7 +49,7 @@ def latency_for_pair(
 def device_latency_by_class(
     machine: Machine,
     nbytes: int = 0,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     noise: NoiseModel = NOISE_LATENCY,
     injector=None,
     max_events: int | None = None,

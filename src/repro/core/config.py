@@ -2,7 +2,7 @@
 
 :class:`StudyConfig` lives apart from :mod:`repro.core.study` so that
 validating a command line, fingerprinting a config or recording a run
-that reads no benchmark cell loads neither numpy nor the model.
+that reads no benchmark cell loads none of the model.
 """
 
 from __future__ import annotations

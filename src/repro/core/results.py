@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import BenchmarkConfigError
+from ..sim.random import sample_mean, sample_std
 
 
 @dataclass(frozen=True)
@@ -25,11 +24,16 @@ class Statistic:
 
     @classmethod
     def from_samples(cls, samples) -> "Statistic":
-        arr = np.asarray(samples, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
+        """numpy's ``mean()`` and ``std(ddof=1)`` of a 1-D sequence."""
+        try:
+            values = [float(v) for v in samples]
+        except TypeError:  # a 0-d array, or rows that are sequences
+            values = []
+        if not values or getattr(samples, "ndim", 1) != 1:
             raise BenchmarkConfigError("from_samples needs a non-empty 1-D array")
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        return cls(mean=float(arr.mean()), std=std, n=int(arr.size))
+        return cls(
+            mean=sample_mean(values), std=sample_std(values), n=len(values)
+        )
 
     def scaled(self, factor: float) -> "Statistic":
         """Unit conversion (e.g. seconds -> microseconds)."""

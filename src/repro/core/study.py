@@ -23,8 +23,6 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..benchmarks.babelstream.sweep import (
     best_cpu_bandwidth,
     best_gpu_bandwidth,
@@ -105,13 +103,16 @@ class Study:
         #: ``(machine, result)`` of each cell outside the scheduler's
         #: remit, by label, served again only to the same machine object
         self._local: dict[tuple[str, ...], tuple[Machine, object]] = {}
+        #: labels of the scheduler outcomes already merged into this
+        #: study; a local cell under the same label is not one of them
+        self._merged: set[tuple[str, ...]] = set()
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
     def _samples(
         self, base: float, noise: NoiseModel, *path: str, kind: str = "latency"
-    ) -> np.ndarray:
+    ) -> list[float]:
         rng = self.streams.get(*path)
         samples = noise.sample_many(rng, base, self.config.runs)
         if self.injector is not None:
@@ -214,8 +215,9 @@ class Study:
         """Merge one scheduler-computed cell outcome into this study.
 
         Every request takes the cell's result; the stdout footnotes
-        read their degraded entries from it.  The first request for
-        ``label`` — computed or served from the cell cache alike — also
+        read their degraded entries from it.  The first request for this
+        outcome — computed or served from the cell cache alike, and
+        whatever local cell under ``label`` ran before it — also
         merges what computing the cell observed: its degraded entries go
         to the resilience log, so the log counts cells, not requests; its
         tracer ring (cell span included) is absorbed, its metric deltas
@@ -225,8 +227,9 @@ class Study:
         order, which is what makes the merge deterministic at any jobs
         count.
         """
-        if label in self.cell_results:
+        if label in self._merged:
             return outcome.result
+        self._merged.add(label)
         self.resilience.extend(outcome.degraded)
         ctx = obs.current()
         if ctx.enabled:

@@ -24,7 +24,7 @@ from .models import (
 )
 from .profiles import PROFILES, get_profile
 
-# the injector imports numpy; load it on first use
+# the injector loads the random streams and obs runtime; load it on first use
 _, __getattr__ = _lazy_exports(
     __name__, {".injector": ("FaultInjector", "make_injector")}
 )

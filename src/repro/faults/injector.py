@@ -19,11 +19,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..errors import InjectedFault
 from ..obs import runtime as obs
-from ..sim.random import RandomStreams
+from ..sim.random import Generator, RandomStreams
 from .models import (
     FaultPlan,
     GpuFault,
@@ -51,10 +49,10 @@ class FaultInjector:
         self.streams = streams
         #: extra path component isolating e.g. one machine's draws
         self.scope = scope
-        self._rngs: dict[tuple[str, ...], np.random.Generator] = {}
+        self._rngs: dict[tuple[str, ...], Generator] = {}
 
     # ------------------------------------------------------------------
-    def _rng(self, *path: str) -> np.random.Generator:
+    def _rng(self, *path: str) -> Generator:
         key = ("faults", self.scope, *path)
         if key not in self._rngs:
             self._rngs[key] = self.streams.get(*key)
@@ -176,14 +174,15 @@ class FaultInjector:
                 )
 
     def perturb_samples(
-        self, samples: np.ndarray, *label: str, kind: str = "latency"
-    ) -> np.ndarray:
-        """Apply straggler bursts to a vector of per-execution samples.
+        self, samples: list[float], *label: str, kind: str = "latency"
+    ) -> list[float]:
+        """Apply straggler bursts to a list of per-execution samples.
 
         ``kind`` decides the direction: latency-like samples are
         multiplied by the slowdown, bandwidth-like samples divided.
-        Returns the input array untouched (same object) when nothing
-        fires, preserving byte-identity for null plans.
+        Returns the input list untouched (same object) when nothing
+        fires, preserving byte-identity for null plans, and otherwise
+        a copy.
         """
         specs = [
             s for s in self.plan.of_kind(StragglerFault) if s.probability > 0.0
@@ -193,16 +192,20 @@ class FaultInjector:
         rng = self._rng("straggler-samples", *label)
         out = samples
         for spec in specs:
-            mask = rng.random(len(out)) < spec.probability
-            if not mask.any():
+            hits = [
+                i for i, u in enumerate(rng.random(len(out)))
+                if u < spec.probability
+            ]
+            if not hits:
                 continue
-            obs.count("faults.injected.sample_bursts", int(mask.sum()))
+            obs.count("faults.injected.sample_bursts", len(hits))
             if out is samples:
-                out = samples.copy()
-            if kind == "bandwidth":
-                out[mask] /= spec.slowdown
-            else:
-                out[mask] *= spec.slowdown
+                out = list(samples)
+            for i in hits:
+                if kind == "bandwidth":
+                    out[i] /= spec.slowdown
+                else:
+                    out[i] *= spec.slowdown
         return out
 
 

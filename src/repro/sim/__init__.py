@@ -13,5 +13,5 @@ never the wall clock.
 
 Import from the submodules (:mod:`.engine`, :mod:`.resources`,
 :mod:`.random`): this package imports none of them, so loading the
-engine does not load numpy, which only :mod:`.random` needs.
+engine loads neither the resources nor the random streams.
 """

@@ -101,6 +101,32 @@ class TestCellReuse:
         cells = [r for r in ctx.tracer.records() if r.category == "study"]
         assert len(cells) == 4
 
+    @pytest.mark.parametrize("mutated_first", [True, False])
+    def test_registry_cell_beside_a_mutated_copy_is_observed(
+        self, sawtooth, mutated_first
+    ):
+        # a mutated copy under the registry label is a cell of its own:
+        # both degrade, and each is logged, counted and traced once in
+        # either request order
+        from dataclasses import replace
+
+        from repro.faults.models import FaultPlan, NodeFailure
+        from repro.obs import ObsContext, observability
+
+        mutated = replace(sawtooth, location="elsewhere")
+        study = Study(StudyConfig(
+            runs=2, seed=7, max_retries=0,
+            faults=FaultPlan("fail", (NodeFailure(probability=1.0),)),
+        ))
+        order = [mutated, sawtooth] if mutated_first else [sawtooth, mutated]
+        with observability(ObsContext.create()) as ctx:
+            for machine in order:
+                study.host_latency(machine, PairKind.ON_SOCKET)
+        assert study.resilience.degraded_count == 2
+        assert ctx.metrics.counter("study.cell.completed").value == 2
+        cells = [r for r in ctx.tracer.records() if r.category == "study"]
+        assert len(cells) == 2
+
 
 class TestCellExecutionError:
     @pytest.mark.parametrize("jobs", [1, 2])

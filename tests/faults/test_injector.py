@@ -85,8 +85,8 @@ def test_perturb_samples_latency_vs_bandwidth_direction():
     )
     lat = injector.perturb_samples(np.ones(16), "m", "lat", kind="latency")
     bw = injector.perturb_samples(np.ones(16), "m", "bw", kind="bandwidth")
-    assert np.all(lat == 2.0)
-    assert np.all(bw == 0.5)
+    assert np.all(np.asarray(lat) == 2.0)
+    assert np.all(np.asarray(bw) == 0.5)
 
 
 def test_perturb_samples_does_not_mutate_input():

@@ -186,7 +186,7 @@ def test_package_runs_without_networkx(tmp_path):
     assert "==> table2" in proc.stdout and "==> report" in proc.stdout
 
 
-#: the targets that read no benchmark cell and load no numpy
+#: the targets that read no benchmark cell and build no Study
 STATIC_TARGETS = [
     "table1", "table2", "table3", "table8", "table9",
     "figure1", "figure2", "figure3",
@@ -223,6 +223,46 @@ def test_static_targets_run_without_numpy(tmp_path):
     assert all(r["outcome"] == "ok" and r["exit_code"] == 0 for r in records)
     # `runs list` read that history back
     assert all(r["run_id"] in proc.stdout for r in records)
+
+
+#: blocks numpy, runs targets that read benchmark cells (fast, exact,
+#: under chaos, and twice on one cache directory: stores, then hits)
+#: with the exit codes they return with numpy, then checks numpy was
+#: never loaded
+CELLS_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from repro.harness.cli import main
+cached = ["table4", "--runs", "3", "--cache-dir", sys.argv[1]]
+for argv, code in (
+    (["all", "--runs", "3"], 0),
+    (["check"], 0),
+    (["table5", "--exact", "--runs", "2"], 0),
+    (["table4", "--runs", "3", "--faults", "chaos"], 3),
+    (cached, 0),
+    (cached, 0),
+):
+    assert main(argv) == code, argv
+assert sys.modules.pop("numpy") is None
+assert not [m for m in sys.modules if m.partition(".")[0] == "numpy"]
+"""
+
+
+def test_cell_targets_run_without_numpy(tmp_path):
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", CELLS_WITHOUT_NUMPY, str(tmp_path / "cells")],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src),
+             "REPRO_LEDGER_DIR": str(tmp_path / "ledger")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    stored, served = [
+        line for line in proc.stderr.splitlines()
+        if line.startswith("cell cache: ")
+    ]
+    assert stored.startswith("cell cache: 0 hit(s), 20 miss(es), 20 store(s)")
+    assert served.startswith("cell cache: 20 hit(s), 0 miss(es), 0 store(s)")
 
 
 class TestStaticRun:

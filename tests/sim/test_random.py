@@ -82,20 +82,20 @@ class TestNoiseModel:
     def test_sample_mean_near_value(self):
         noise = NoiseModel(sigma=0.01)
         rng = np.random.default_rng(0)
-        samples = noise.sample_many(rng, 10.0, 5000)
+        samples = np.asarray(noise.sample_many(rng, 10.0, 5000))
         assert samples.mean() == pytest.approx(10.0, rel=0.01)
 
     def test_sample_cov_matches_sigma(self):
         noise = NoiseModel(sigma=0.02)
         rng = np.random.default_rng(1)
-        samples = noise.sample_many(rng, 100.0, 20000)
+        samples = np.asarray(noise.sample_many(rng, 100.0, 20000))
         cov = samples.std() / samples.mean()
         assert cov == pytest.approx(0.02, rel=0.15)
 
     def test_floor_adds_spread_near_zero(self):
         noise = NoiseModel(sigma=0.0, floor=1e-9)
         rng = np.random.default_rng(0)
-        samples = noise.sample_many(rng, 0.0, 100)
+        samples = np.asarray(noise.sample_many(rng, 0.0, 100))
         assert samples.std() > 0
 
     def test_negative_value_rejected(self):
@@ -111,5 +111,7 @@ class TestNoiseModel:
             NoiseModel().sample_many(np.random.default_rng(0), 1.0, -1)
 
     def test_sample_many_shape(self):
-        out = NoiseModel(sigma=0.1).sample_many(np.random.default_rng(0), 2.0, 17)
+        out = np.asarray(
+            NoiseModel(sigma=0.1).sample_many(np.random.default_rng(0), 2.0, 17)
+        )
         assert out.shape == (17,)
