@@ -30,7 +30,8 @@ def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
     (PEP 562), so importing the package itself loads none of them.
 
     ``exports`` maps each module, relative to ``package``, to the names
-    it provides, in ``__all__`` order.
+    it provides, in ``__all__`` order.  A submodule exported under its
+    own name (``".collectives": ("collectives",)``) resolves to itself.
     """
     import importlib
     import sys
@@ -41,7 +42,9 @@ def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
         module = where.get(name)
         if module is None:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        value = getattr(importlib.import_module(module, package), name)
+        value = importlib.import_module(module, package)
+        if module != "." + name:
+            value = getattr(value, name)
         setattr(sys.modules[package], name, value)
         return value
 

@@ -9,9 +9,9 @@ bigger than one ping-pong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from .._dataclass import dataclass
 from ..errors import BenchmarkConfigError
 from ..obs.span import SpanRecord
 

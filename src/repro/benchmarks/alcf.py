@@ -14,8 +14,7 @@ queue.  On healthy stacks the difference is negligible
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._dataclass import dataclass
 from ..errors import BenchmarkConfigError
 from ..machines.base import Machine
 from ..mpisim.placement import RankLocation

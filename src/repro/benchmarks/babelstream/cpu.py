@@ -13,8 +13,7 @@ sweeps configurations and operations exactly as the authors did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..._dataclass import dataclass
 from ...errors import BenchmarkConfigError
 from ...machines.base import Machine
 from ...memsys.scaling import team_bandwidth

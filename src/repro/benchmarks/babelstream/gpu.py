@@ -10,8 +10,7 @@ than half the two-GCD package peak.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..._dataclass import dataclass
 from ...errors import BenchmarkConfigError
 from ...machines.base import Machine
 from ...memsys.writealloc import ALL_KERNELS

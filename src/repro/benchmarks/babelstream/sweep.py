@@ -8,8 +8,7 @@ the best over every Table 1 OpenMP configuration and every operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..._dataclass import dataclass
 from ...errors import BenchmarkConfigError
 from ...machines.base import Machine
 from ...openmp.env import OmpEnvironment, table1_configurations
@@ -82,7 +81,7 @@ def best_cpu_bandwidth(
 
     best: BestResult | None = None
     for idx, env in enumerate(wanted):
-        rng = streams.get(
+        rng = None if deterministic else streams.get(
             machine.name, "babelstream-cpu",
             "single" if single_thread else "all", f"cfg{idx}",
         )
@@ -90,9 +89,7 @@ def best_cpu_bandwidth(
         for _run in range(runs):
             # validate only once per config: the kernels are deterministic
             result = run_cpu_config(
-                machine, env, array_bytes,
-                rng=None if deterministic else rng,
-                validate=(_run == 0),
+                machine, env, array_bytes, rng=rng, validate=(_run == 0),
             )
             for op, bw in result.reported.items():
                 per_op.setdefault(op, []).append(bw)
@@ -123,12 +120,13 @@ def best_gpu_bandwidth(
     streams = streams or RandomStreams()
     if array_bytes is None:
         array_bytes = default_gpu_size()
-    rng = streams.get(machine.name, "babelstream-gpu", f"dev{device}")
+    rng = None if deterministic else streams.get(
+        machine.name, "babelstream-gpu", f"dev{device}"
+    )
     per_op: dict[str, list[float]] = {}
     for _run in range(runs):
         result = run_gpu_stream(
-            machine, array_bytes, device=device,
-            rng=None if deterministic else rng,
+            machine, array_bytes, device=device, rng=rng,
             validate=(_run == 0),
             injector=injector, max_events=max_events,
         )

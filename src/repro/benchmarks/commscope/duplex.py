@@ -9,8 +9,7 @@ is exercised here as an extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..._dataclass import dataclass
 from ...errors import BenchmarkConfigError
 from ...gpurt.api import DeviceRuntime
 from ...machines.base import Machine

@@ -9,8 +9,9 @@ time (0.5 s by default), then reports the per-iteration mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from ..._dataclass import dataclass
 from ...errors import BenchmarkConfigError
 
 #: google/benchmark defaults

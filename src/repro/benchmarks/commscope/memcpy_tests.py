@@ -8,8 +8,7 @@ together; device-to-device copies are reported per link class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..._dataclass import dataclass
 from ...errors import BenchmarkConfigError
 from ...gpurt.api import DeviceRuntime
 from ...gpurt.buffers import Buffer

@@ -6,8 +6,9 @@ Collects everything Table 6 needs: launch, wait, the averaged
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from ..._dataclass import dataclass
 from ...errors import BenchmarkConfigError
 from ...hardware.topology import LinkClass
 from ...machines.base import Machine

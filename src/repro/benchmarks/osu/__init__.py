@@ -6,18 +6,10 @@ large ones (the suite defaults, which the paper keeps).  ``osu_bw`` and
 ``osu_bibw`` are provided as extensions using the same machinery.
 """
 
-from .latency import LatencyResult, osu_latency, osu_latency_sweep
-from .bandwidth import BandwidthResult, osu_bw, osu_bibw
-from .runner import PairKind, latency_for_pair, device_latency_by_class
+from ... import _lazy_exports
 
-__all__ = [
-    "LatencyResult",
-    "osu_latency",
-    "osu_latency_sweep",
-    "BandwidthResult",
-    "osu_bw",
-    "osu_bibw",
-    "PairKind",
-    "latency_for_pair",
-    "device_latency_by_class",
-]
+__all__, __getattr__ = _lazy_exports(__name__, {
+    ".latency": ("LatencyResult", "osu_latency", "osu_latency_sweep"),
+    ".bandwidth": ("BandwidthResult", "osu_bw", "osu_bibw"),
+    ".runner": ("PairKind", "latency_for_pair", "device_latency_by_class"),
+})

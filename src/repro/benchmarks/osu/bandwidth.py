@@ -8,8 +8,7 @@ both directions simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..._dataclass import dataclass
 from ...errors import BenchmarkConfigError
 from ...machines.base import Machine
 from ...mpisim.placement import RankLocation

@@ -12,8 +12,7 @@ One binary execution = one :func:`osu_latency` call; the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..._dataclass import dataclass
 from ...errors import BenchmarkConfigError
 from ...machines.base import Machine
 from ...mpisim.placement import RankLocation

@@ -26,9 +26,10 @@ own (the paper-refs CI gate treats skips as advisory).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
+from .._dataclass import dataclass
 from ..analysis.metrics import (
     bootstrap_mean_ci,
     ci_half_width,

@@ -24,9 +24,9 @@ evaluator turns those into skip-with-reason results, never crashes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
+from .._dataclass import dataclass
 from ..core.resilience import Degraded
 from ..core.results import Statistic
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .._dataclass import dataclass
 from ..analysis.metrics import better_direction
 from ..errors import CheckSpecError
 

@@ -7,8 +7,7 @@ that reads no benchmark cell loads none of the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._dataclass import dataclass
 from ..errors import BenchmarkConfigError
 from ..faults.models import FaultPlan
 

@@ -9,8 +9,7 @@ BabelStream, and the bandwidth ramp the paper's Appendix B describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._dataclass import dataclass
 from ..benchmarks.babelstream.cpu import run_cpu_config
 from ..benchmarks.babelstream.gpu import run_gpu_stream
 from ..benchmarks.osu.latency import osu_latency_sweep

@@ -43,9 +43,10 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import TYPE_CHECKING, Any, Optional
 
+from .._dataclass import dataclass
 from ..benchmarks.osu.runner import PairKind
 from ..errors import BenchmarkConfigError, CellExecutionError
 from ..machines.registry import (

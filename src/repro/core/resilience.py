@@ -16,9 +16,10 @@ and renderers need no special-casing beyond the footnote block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Callable
 
+from .._dataclass import dataclass
 from ..errors import ReproError
 
 #: what a degraded cell renders as in tables (footnote marker included)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._dataclass import dataclass
 from ..errors import BenchmarkConfigError
 from ..sim.random import sample_mean, sample_std
 

@@ -8,9 +8,9 @@ trusting documentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from .._dataclass import dataclass
 from ..errors import BenchmarkConfigError
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from .._dataclass import dataclass
 from ..benchmarks.babelstream.sweep import (
     best_cpu_bandwidth,
     best_gpu_bandwidth,
@@ -328,7 +329,7 @@ class Study:
         best = best_cpu_bandwidth(
             machine, single_thread,
             array_bytes=self.config.cpu_array_bytes, runs=1,
-            streams=RandomStreams(0), deterministic=True,
+            deterministic=True,
         )
         base = float(best.samples[0])
         label = "single" if single_thread else "all"
@@ -359,7 +360,7 @@ class Study:
             return Statistic.from_samples(best.samples)
         best = best_gpu_bandwidth(
             machine, array_bytes=size, runs=1,
-            streams=RandomStreams(0), deterministic=True, max_events=budget,
+            deterministic=True, max_events=budget,
         )
         return Statistic.from_samples(
             self._samples(float(best.samples[0]), NOISE_BANDWIDTH,

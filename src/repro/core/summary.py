@@ -7,8 +7,7 @@ tables." (paper section 4)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._dataclass import dataclass
 from ..errors import BenchmarkConfigError
 from ..hardware.gpu import GpuFamily
 from ..hardware.topology import LinkClass

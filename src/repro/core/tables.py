@@ -7,8 +7,9 @@ text table in the paper's units (GB/s and microseconds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from .._dataclass import dataclass
 from ..hardware.topology import LinkClass
 from ..machines.base import Machine
 from ..machines.registry import cpu_machines, gpu_machines

@@ -27,8 +27,9 @@ literature it builds on:
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from .._dataclass import dataclass
 from ..errors import FaultConfigError
 
 

@@ -17,28 +17,13 @@ Host code runs as simulation processes; every API entry point is a
 generator to be ``yield from``-ed inside one.
 """
 
-from .buffers import Buffer, DeviceBuffer, HostBuffer
-from .kernel import KernelSpec, EMPTY_KERNEL, stream_kernel
-from .memcpy import CopyKind, CopyPlan, plan_copy
-from .stream import Command, CopyCommand, KernelCommand, Stream
-from .events import DeviceEvent
-from .api import DeviceRuntime, Device
+from .. import _lazy_exports
 
-__all__ = [
-    "Buffer",
-    "DeviceBuffer",
-    "HostBuffer",
-    "KernelSpec",
-    "EMPTY_KERNEL",
-    "stream_kernel",
-    "CopyKind",
-    "CopyPlan",
-    "plan_copy",
-    "Command",
-    "CopyCommand",
-    "KernelCommand",
-    "Stream",
-    "DeviceEvent",
-    "DeviceRuntime",
-    "Device",
-]
+__all__, __getattr__ = _lazy_exports(__name__, {
+    ".buffers": ("Buffer", "DeviceBuffer", "HostBuffer"),
+    ".kernel": ("KernelSpec", "EMPTY_KERNEL", "stream_kernel"),
+    ".memcpy": ("CopyKind", "CopyPlan", "plan_copy"),
+    ".stream": ("Command", "CopyCommand", "KernelCommand", "Stream"),
+    ".events": ("DeviceEvent",),
+    ".api": ("DeviceRuntime", "Device"),
+})

@@ -8,8 +8,9 @@ async-copy path checks, mirroring ``cudaHostAlloc``/``hipHostMalloc``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from .._dataclass import dataclass
 from ..errors import GpuRuntimeError
 
 _ids = itertools.count()

@@ -8,9 +8,10 @@ for device-side timing, and a building block for overlap studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Generator, Optional
 
+from .._dataclass import dataclass
 from ..errors import GpuRuntimeError
 from .stream import Command, Stream
 

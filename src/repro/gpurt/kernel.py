@@ -8,9 +8,9 @@ traffic divided by achieved device bandwidth (the BabelStream backend).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from .._dataclass import dataclass
 from ..errors import GpuRuntimeError
 from ..memsys.hbm import device_stream_bandwidth
 from ..memsys.writealloc import KernelTraffic

@@ -14,8 +14,8 @@ protocol efficiency.  Device-pair classes (A/B/C/D) come from
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from .._dataclass import dataclass
 from ..errors import GpuRuntimeError, PinnedMemoryError
 from ..hardware.topology import LinkClass, PairClassification
 from ..machines.base import Machine

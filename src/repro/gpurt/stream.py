@@ -10,9 +10,10 @@ wait on (``stream_synchronize`` / ``device_synchronize``).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Generator
 
+from .._dataclass import dataclass
 from ..errors import GpuRuntimeError, InvalidStreamError
 from ..sim.engine import Environment, Event
 from ..sim.resources import Resource

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from .._dataclass import dataclass
 from ..errors import HardwareConfigError
 from .memory import MemoryMode, MemorySpec
 

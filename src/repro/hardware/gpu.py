@@ -10,8 +10,8 @@ and why BabelStream only ever exercises half of an MI250X package.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from .._dataclass import dataclass
 from ..errors import HardwareConfigError
 from .memory import MemorySpec, hbm2, hbm2e
 

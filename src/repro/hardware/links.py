@@ -24,8 +24,8 @@ Peak numbers come from vendor documentation:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from .._dataclass import dataclass
 from ..errors import HardwareConfigError
 from ..units import gb_per_s, ns
 

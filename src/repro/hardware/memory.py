@@ -24,8 +24,8 @@ Peak bandwidth provenance (matching the paper's "Peak" columns):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from .._dataclass import dataclass
 from ..errors import HardwareConfigError
 from ..units import GiB, gb_per_s, ns
 

@@ -9,8 +9,9 @@ is what the OpenMP binding model places threads onto.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from .._dataclass import dataclass
 from ..errors import HardwareConfigError
 from .cpu import CpuSpec
 from .gpu import GpuSpec

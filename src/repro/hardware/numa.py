@@ -8,8 +8,9 @@ objects and exposes an abstract distance (hops between domains).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from .._dataclass import dataclass
 from ..errors import HardwareConfigError
 
 

@@ -18,11 +18,12 @@ classification and the lowest-latency routing the DMA/MPI models use.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import field
 from heapq import heappop, heappush
 from itertools import count
 from typing import Iterable, Iterator, Optional
 
+from .._dataclass import dataclass
 from ..errors import TopologyError
 from .links import LinkInstance, LinkKind
 

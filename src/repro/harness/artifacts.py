@@ -11,8 +11,9 @@ evaluation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from .._dataclass import dataclass
 from ..core.curves import (
     babelstream_cpu_curve,
     babelstream_gpu_curve,

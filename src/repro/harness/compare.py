@@ -7,8 +7,7 @@ error, and renders them as text/markdown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._dataclass import dataclass
 from ..analysis.format import layout_table
 from ..analysis.metrics import relative_error
 from ..core.resilience import DEGRADED_MARK, Degraded

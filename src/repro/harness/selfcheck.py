@@ -10,8 +10,7 @@ empty means healthy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._dataclass import dataclass
 from ..benchmarks.babelstream.kernels import StreamArrays
 from ..hardware.topology import LinkClass
 from ..machines.registry import all_machines, cpu_machines, gpu_machines

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from .._dataclass import dataclass
 from ..errors import HardwareConfigError
 from ..hardware.node import NodeSpec
 from .calibration import MachineCalibration

@@ -26,8 +26,9 @@ directly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from .._dataclass import dataclass
 from ..errors import HardwareConfigError
 from ..hardware.topology import LinkClass
 

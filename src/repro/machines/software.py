@@ -8,7 +8,8 @@ driver generations, and kernel-launch costs track the CUDA/ROCm version.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+
+from .._dataclass import dataclass
 
 
 class MpiFlavor(enum.Enum):

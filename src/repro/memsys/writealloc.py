@@ -16,8 +16,7 @@ carries a small cost instead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._dataclass import dataclass
 from ..errors import BenchmarkConfigError
 
 

@@ -13,25 +13,14 @@ machine's calibration and topology:
   with no direct link (the paper's class-B figures).
 """
 
-from .placement import RankLocation, on_socket_pair, on_node_pair, device_pair
-from .transport import BufferKind, PathCost, Transport
-from .protocols import EAGER_THRESHOLD
-from .world import ANY_TAG, MatchQueue, Message, MpiWorld, RankContext
-from . import collectives
+from .. import _lazy_exports
 
-__all__ = [
-    "RankLocation",
-    "on_socket_pair",
-    "on_node_pair",
-    "device_pair",
-    "BufferKind",
-    "PathCost",
-    "Transport",
-    "EAGER_THRESHOLD",
-    "ANY_TAG",
-    "MatchQueue",
-    "Message",
-    "MpiWorld",
-    "RankContext",
-    "collectives",
-]
+__all__, __getattr__ = _lazy_exports(__name__, {
+    ".placement": (
+        "RankLocation", "on_socket_pair", "on_node_pair", "device_pair",
+    ),
+    ".transport": ("BufferKind", "PathCost", "Transport"),
+    ".protocols": ("EAGER_THRESHOLD",),
+    ".world": ("ANY_TAG", "MatchQueue", "Message", "MpiWorld", "RankContext"),
+    ".collectives": ("collectives",),
+})

@@ -12,8 +12,7 @@ The paper's three pairings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._dataclass import dataclass
 from ..errors import PlacementError
 from ..machines.base import Machine
 

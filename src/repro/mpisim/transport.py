@@ -13,8 +13,8 @@ KNL mesh distance, GPU RMA or the CUDA pipeline overhead.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from .._dataclass import dataclass
 from ..errors import MpiSimError
 from ..machines.base import Machine
 from ..machines.calibration import GpuMpiMode

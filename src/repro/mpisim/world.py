@@ -20,9 +20,9 @@ Protocol:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
+from .._dataclass import dataclass
 from ..errors import InjectedFault, MpiSimError
 from ..machines.base import Machine
 from ..obs import runtime as obs
@@ -498,6 +498,5 @@ class MpiWorld:
             self.env.process(fn(RankContext(self, rank)), name=f"rank{rank}")
             for rank, fn in enumerate(rank_fns)
         ]
-        done = self.env.all_of(procs)
-        self.env.run(until=done, max_events=self.max_events)
-        return [p.value for p in procs]
+        # polled, not joined: a rank's end then costs no event
+        return self.env.run(until=procs, max_events=self.max_events)

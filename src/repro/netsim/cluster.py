@@ -10,9 +10,9 @@ inter-node messages over shared, contended fabric links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .._dataclass import dataclass
 from ..errors import MpiSimError, PlacementError
 from ..machines.base import Machine
 from ..machines.calibration import GpuMpiMode

@@ -13,8 +13,7 @@ Constants are public, vendor-documented figures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._dataclass import dataclass
 from ..errors import HardwareConfigError, UnknownMachineError
 from ..machines.base import Machine
 from ..units import gb_per_s, ns, us

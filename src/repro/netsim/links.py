@@ -8,8 +8,9 @@ effect [20] that the paper names as a reason it stayed intra-node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from .._dataclass import dataclass
 from ..errors import SimulationError
 from ..obs import runtime as obs
 

@@ -26,9 +26,10 @@ declarative check suites both gate through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
+from ..._dataclass import dataclass
 from ...errors import BenchDataError
 
 BENCH_SCHEMA = "repro.bench/v1"

@@ -27,10 +27,11 @@ Works on both live :class:`repro.obs.span.SpanRecord` objects and
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import field
 from heapq import heappop, heappush
 from typing import Any, Iterable, Optional, Sequence
 
+from ..._dataclass import dataclass
 from ...errors import TraceAnalysisError
 
 #: the phase charged for time no span covers (software/protocol gaps)

@@ -42,10 +42,10 @@ import os
 import shutil
 import time
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
+from .._dataclass import dataclass
 from ..errors import LedgerError
 from .jsonl import append_line, open_append, read_jsonl, rewrite_lines
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .events import EventLog
+if TYPE_CHECKING:  # pragma: no cover - the CLI loads it under --events-out
+    from .events import EventLog
 
 
 class RunTelemetry:

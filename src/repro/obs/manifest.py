@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import platform
+import sys
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -93,7 +93,8 @@ def build_manifest(
         "schema": MANIFEST_SCHEMA,
         "versions": {
             "repro": _CODE_VERSION,
-            "python": platform.python_version(),
+            # platform.python_version() on CPython, without loading platform
+            "python": sys.version.split()[0],
         },
         "config": {
             "fingerprint": config_fingerprint(config),

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
+
+from .._dataclass import dataclass
 
 #: packages we attribute to by path component; anything else under
 #: ``repro/`` keeps its own package name, non-repro code becomes "other"

@@ -17,12 +17,15 @@ previous hook on exit, so profiling never leaks across tests.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import field
+from typing import TYPE_CHECKING, Iterator, Optional
 
+from .._dataclass import dataclass
 from .metrics import DECLARED_COUNTERS, MetricsRegistry, NULL_METRICS, NullMetrics
-from .profiler import SimProfiler
 from .span import DEFAULT_CAPACITY, NULL_TRACER, NullTracer, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover - create() loads it under --profile
+    from .profiler import SimProfiler
 
 
 @dataclass
@@ -55,10 +58,15 @@ class ObsContext:
         """
         metrics = MetricsRegistry(record_values=record_values)
         metrics.declare(DECLARED_COUNTERS)
+        profiler = None
+        if profile:
+            from .profiler import SimProfiler
+
+            profiler = SimProfiler()
         return cls(
             tracer=Tracer(capacity=capacity),
             metrics=metrics,
-            profiler=SimProfiler() if profile else None,
+            profiler=profiler,
         )
 
     def attributions(self) -> list:

@@ -19,9 +19,10 @@ off.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Callable, Optional
 
+from .._dataclass import dataclass
 from ..errors import ObservabilityError
 
 #: default ring capacity (span records)

@@ -7,8 +7,7 @@ The paper tests eight combinations of ``OMP_NUM_THREADS`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._dataclass import dataclass
 from ..errors import OpenMPConfigError
 from ..hardware.node import NodeSpec
 

@@ -7,8 +7,7 @@ object the bandwidth model consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._dataclass import dataclass
 from ..hardware.node import NodeSpec
 from .binding import BindPolicy, assign_threads
 from .env import OmpEnvironment

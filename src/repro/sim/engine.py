@@ -8,13 +8,14 @@ hands back an :class:`Event` the process waits on.
 
 The implementation is deliberately small but complete enough to express
 everything the hardware models need: timeouts, processes as events
-(join semantics), interrupts, and ``AllOf``/``AnyOf`` composition.
+(join semantics) and interrupts.
 
 An event that nothing waits on when it succeeds skips the heap: it is
 processed at once, since processing it would run no callback and would
 not move the clock (DESIGN.md 5f).  A process that returns while
-nothing joins it ends the same way.  Failures, timeouts, process starts
-and interrupts are always scheduled.
+nothing joins it ends the same way, and ``Environment.run`` polls the
+events it awaits (one, or a list) rather than joining them.  Failures,
+timeouts, process starts and interrupts are always scheduled.
 
 Every event class declares ``__slots__`` (DESIGN.md 5f): the paper's
 protocol multiplies out to millions of heap pushes and pops per study,
@@ -26,7 +27,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..errors import DeadlockError, SimulationError, WatchdogTimeout
 
@@ -339,60 +340,6 @@ class Process(Event):
             event = target
 
 
-class Condition(Event):
-    """Base for AllOf / AnyOf composition over multiple events."""
-
-    __slots__ = ("_events", "_count")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._count = 0
-        for ev in self._events:
-            if ev.env is not env:
-                raise SimulationError("events from different environments")
-            if ev.callbacks is None:
-                self._check(ev)
-            else:
-                ev.callbacks.append(self._check)
-        if not self._events and not self.triggered:
-            self.succeed({})
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._satisfied():
-            self.succeed(
-                {ev: ev._value for ev in self._events if ev.callbacks is None or ev.triggered}
-            )
-
-
-class AllOf(Condition):
-    """Triggers when every component event has triggered."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= len(self._events)
-
-
-class AnyOf(Condition):
-    """Triggers when at least one component event has triggered."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1
-
-
 class Environment:
     """The simulation kernel: a clock and an event heap."""
 
@@ -424,12 +371,6 @@ class Environment:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
     def _schedule(self, event: Event, priority: int, when: float) -> None:
@@ -488,7 +429,7 @@ class Environment:
 
     def run(
         self,
-        until: "Event | float | None" = None,
+        until: "Event | list[Event] | float | None" = None,
         max_events: Optional[int] = None,
         max_wall_seconds: Optional[float] = None,
     ) -> Any:
@@ -496,6 +437,8 @@ class Environment:
 
         * ``until`` is an :class:`Event`: run until it is processed and
           return its value (re-raising on failure).
+        * ``until`` is a list of events: run until each is processed and
+          return their values, under one budget for the whole run.
         * ``until`` is a number: run until the clock reaches it.
         * ``until`` is None: run until no events remain.
 
@@ -533,31 +476,34 @@ class Environment:
                     )
                 step()
             return None
-        if isinstance(until, Event):
+        if isinstance(until, (Event, list)):
             # poll rather than add a callback, so an awaited event that
             # nothing else waits on still ends without a heap entry
-            while until.callbacks is not None:
-                if not queue:
-                    raise self._deadlock(
-                        "event queue drained before the awaited event triggered"
-                    )
-                processed += 1
-                if processed > budget:
-                    raise self._watchdog(
-                        f"event budget of {max_events} exceeded", processed - 1
-                    )
-                if (deadline is not None and processed % 512 == 0
-                        and monotonic() > deadline):
-                    raise self._watchdog(
-                        f"wall-clock budget of {max_wall_seconds}s exceeded",
-                        processed - 1,
-                    )
-                step()
-            if not until._ok:
-                exc = until._value
-                until._defused = True
-                raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
-            return until._value
+            awaited = until if isinstance(until, list) else [until]
+            for event in awaited:
+                while event.callbacks is not None:
+                    if not queue:
+                        raise self._deadlock(
+                            "event queue drained before the awaited event triggered"
+                        )
+                    processed += 1
+                    if processed > budget:
+                        raise self._watchdog(
+                            f"event budget of {max_events} exceeded", processed - 1
+                        )
+                    if (deadline is not None and processed % 512 == 0
+                            and monotonic() > deadline):
+                        raise self._watchdog(
+                            f"wall-clock budget of {max_wall_seconds}s exceeded",
+                            processed - 1,
+                        )
+                    step()
+                if not event._ok:
+                    exc = event._value
+                    event._defused = True
+                    raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
+            values = [event._value for event in awaited]
+            return values if isinstance(until, list) else values[0]
         # numeric horizon
         horizon = float(until)
         if horizon < self.now:

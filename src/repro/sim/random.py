@@ -16,11 +16,11 @@ numpy and every figure is the one numpy would produce.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import reduce
 from math import exp, log1p, sqrt
 from operator import add
 
+from .._dataclass import dataclass
 from ._ziggurat import FI, KI, WI
 
 

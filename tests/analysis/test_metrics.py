@@ -204,6 +204,16 @@ class TestStudentTQuantile:
         with pytest.raises(ValueError):
             student_t_quantile_two_sided(0.05, 0)
 
+    def test_memoized_value_equals_a_fresh_solve(self):
+        from repro.analysis.metrics import student_t_quantile_two_sided
+
+        for alpha in (0.2, 0.05, 0.01, 1e-6):
+            for df in (1, 2.5, 9, 9.0, 30, 1000):
+                for _ in range(2):  # a miss, then a hit
+                    assert student_t_quantile_two_sided(alpha, df) == (
+                        student_t_quantile_two_sided.__wrapped__(alpha, df)
+                    )
+
 
 class TestCIHalfWidth:
     def test_matches_formula(self):

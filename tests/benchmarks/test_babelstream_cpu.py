@@ -11,7 +11,7 @@ from repro.benchmarks.babelstream.sweep import (
 )
 from repro.errors import BenchmarkConfigError
 from repro.openmp.env import OmpEnvironment
-from repro.sim.random import RandomStreams
+from repro.sim.random import Generator, RandomStreams
 from repro.units import MiB, to_gb_per_s
 
 ALL_CORES = OmpEnvironment(num_threads=48, proc_bind="spread", places="cores")
@@ -84,6 +84,16 @@ class TestBestSelection:
             sawtooth, single_thread=True, runs=1, deterministic=True
         )
         assert a.mean == b.mean and a.std == 0.0
+
+    def test_deterministic_mode_builds_no_generator(self, sawtooth, monkeypatch):
+        def refuse(self, seed):
+            raise AssertionError("a deterministic sweep built a generator")
+
+        monkeypatch.setattr(Generator, "__init__", refuse)
+        best = best_cpu_bandwidth(
+            sawtooth, single_thread=False, runs=2, deterministic=True
+        )
+        assert best.std == 0.0
 
     def test_reproducible_with_same_streams(self, sawtooth):
         a = best_cpu_bandwidth(

@@ -69,6 +69,16 @@ class TestBestSelection:
         # same GCD spec: same distribution (not identical samples)
         assert a.mean == pytest.approx(b.mean, rel=0.01)
 
+    def test_deterministic_mode_builds_no_generator(self, frontier, monkeypatch):
+        from repro.sim.random import Generator
+
+        def refuse(self, seed):
+            raise AssertionError("a deterministic sweep built a generator")
+
+        monkeypatch.setattr(Generator, "__init__", refuse)
+        best = best_gpu_bandwidth(frontier, runs=2, deterministic=True)
+        assert best.std == 0.0
+
     def test_reproducible(self, frontier):
         from repro.sim.random import RandomStreams
 

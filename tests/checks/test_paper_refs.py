@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.metrics import student_t_quantile_two_sided
 from repro.checks.evaluate import EXIT_OK, evaluate
 from repro.checks.paper_refs import PAPER_TOLERANCE, paper_suite
 from repro.checks.spec import suite_from_dict
@@ -77,6 +78,13 @@ class TestCIGate:
         report = evaluate(paper_suite(), fast_check_source)
         assert report.exit_code == EXIT_OK
         assert not report.failed
+
+    def test_t_quantile_is_solved_once_per_suite(self, fast_check_source):
+        """Every check asks for the same ``(alpha, runs - 1)``, so the
+        suite bisects for the t quantile once, not once per check."""
+        student_t_quantile_two_sided.cache_clear()
+        evaluate(paper_suite(), fast_check_source)
+        assert student_t_quantile_two_sided.cache_info().misses == 1
 
     def test_direction_inference_over_the_suite(self):
         for check in paper_suite():

@@ -265,6 +265,53 @@ def test_cell_targets_run_without_numpy(tmp_path):
     assert served.startswith("cell cache: 20 hit(s), 0 miss(es), 0 store(s)")
 
 
+#: modules that ``all`` and ``check`` call nothing in
+UNCALLED_MODULES = [
+    "repro.benchmarks.osu.bandwidth", "repro.gpurt.events",
+    "repro.mpisim.collectives", "repro.obs.profiler", "repro.obs.events",
+    "platform",
+]
+
+#: runs ``all`` (ledger on) and ``check``, checks that neither loaded an
+#: uncalled module, then that each still loads where it is used
+LOADS_WHAT_IT_CALLS = f"""
+import sys
+from repro.harness.cli import main
+assert main(["all", "--runs", "2"]) == 0
+assert main(["check", "--runs", "2"]) == 0
+loaded = [m for m in {UNCALLED_MODULES!r} if m in sys.modules]
+assert not loaded, loaded
+argv = ["table5", "--runs", "2", "--profile", "--events-out", sys.argv[1]]
+assert main(argv) == 0
+assert "repro.obs.profiler" in sys.modules
+assert "repro.obs.events" in sys.modules
+from repro.benchmarks.osu import osu_bw
+from repro.gpurt import DeviceEvent
+from repro.mpisim import collectives
+assert callable(osu_bw) and callable(collectives.allreduce)
+"""
+
+
+def test_all_and_check_load_only_what_they_call(tmp_path):
+    import platform
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    events = tmp_path / "events.jsonl"
+    ledger = tmp_path / "ledger"
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS_WHAT_IT_CALLS, str(events)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src),
+             "REPRO_LEDGER_DIR": str(ledger)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "events/sec" in proc.stderr  # the --profile digest
+    assert events.read_text().count('"run_start"') == 1
+    runs = RunLedger(ledger)
+    manifest = runs.load(runs.resolve("latest")).manifest
+    assert manifest["versions"]["python"] == platform.python_version()
+
+
 class TestStaticRun:
     """A run that reads no cell builds no Study, yet reports and records
     exactly what one built from its config would."""

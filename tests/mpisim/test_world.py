@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MpiSimError
+from repro.errors import MpiSimError, WatchdogTimeout
 from repro.mpisim.placement import RankLocation, on_socket_pair
 from repro.mpisim.protocols import EAGER_THRESHOLD
 from repro.mpisim.transport import BufferKind
@@ -148,6 +148,29 @@ class TestSendRecvHelpers:
         world = simple_world(eagle)
         with pytest.raises(MpiSimError):
             world.run([lambda ctx: iter(())])
+
+
+class TestEventBudget:
+    def test_budget_bounds_the_whole_run(self, eagle):
+        """``max_events`` caps the ranks together, not each rank's wait:
+        rank 0 ends after 33 events and rank 1 takes 31 more, so 40
+        fits either alone and not both."""
+
+        def ticker(delay):
+            def fn(ctx):
+                yield ctx.env.timeout(delay)
+                for _ in range(30):
+                    yield ctx.env.timeout(1.0)
+                return ctx.env.now
+            return fn
+
+        ranks = [ticker(0.0), ticker(100.0)]
+        placement = [RankLocation(0), RankLocation(1)]
+        assert MpiWorld(eagle, placement, max_events=64).run(ranks) == [
+            30.0, 130.0,
+        ]
+        with pytest.raises(WatchdogTimeout):
+            MpiWorld(eagle, placement, max_events=40).run(ranks)
 
 
 class TestLatencySemantics:

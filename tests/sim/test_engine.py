@@ -4,8 +4,6 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.engine import (
-    AllOf,
-    AnyOf,
     Environment,
     Interrupt,
     profiled,
@@ -262,39 +260,6 @@ class TestEventsNothingWaitsOn:
         env.run(until=1.0)
         with pytest.raises(SimulationError, match="in the past"):
             env.event().succeed_at(0.5)
-
-
-class TestConditions:
-    def test_all_of_waits_for_everything(self):
-        env = Environment()
-
-        def proc(env):
-            t1 = env.timeout(1.0, value="a")
-            t2 = env.timeout(3.0, value="b")
-            results = yield AllOf(env, [t1, t2])
-            return (env.now, sorted(results.values()))
-
-        assert env.run(env.process(proc(env))) == (3.0, ["a", "b"])
-
-    def test_any_of_returns_at_first(self):
-        env = Environment()
-
-        def proc(env):
-            t1 = env.timeout(1.0, value="fast")
-            t2 = env.timeout(3.0, value="slow")
-            yield AnyOf(env, [t1, t2])
-            return env.now
-
-        assert env.run(env.process(proc(env))) == 1.0
-
-    def test_empty_all_of_triggers_immediately(self):
-        env = Environment()
-
-        def proc(env):
-            yield AllOf(env, [])
-            return env.now
-
-        assert env.run(env.process(proc(env))) == 0.0
 
 
 class TestInterrupt:
