@@ -35,6 +35,7 @@ __all__ = [
     "Observation",
     "Source",
     "TableSource",
+    "cell_meta",
     "MetricsSource",
     "CallableSource",
     "CompositeSource",
@@ -124,21 +125,33 @@ def _link_class(token: str, path: str):
         ) from exc
 
 
-#: table field name per (table, final path segment); d2d handled apart
+#: per (table, cell segment): the row field, the unit and the ``compare``
+#: label; a ``d2d`` field holds one statistic per link class
 _TABLE_FIELDS = {
-    ("table4", "single"): ("single", "GB/s"),
-    ("table4", "all"): ("all_threads", "GB/s"),
-    ("table4", "on_socket"): ("on_socket", "us"),
-    ("table4", "on_node"): ("on_node", "us"),
-    ("table5", "device_bw"): ("device_bw", "GB/s"),
-    ("table5", "host"): ("host_to_host", "us"),
-    ("table6", "launch"): ("launch", "us"),
-    ("table6", "wait"): ("wait", "us"),
-    ("table6", "hd_lat"): ("hd_latency", "us"),
-    ("table6", "hd_bw"): ("hd_bandwidth", "GB/s"),
+    ("table4", "single"): ("single", "GB/s", "single"),
+    ("table4", "all"): ("all_threads", "GB/s", "all"),
+    ("table4", "on_socket"): ("on_socket", "us", "on-socket"),
+    ("table4", "on_node"): ("on_node", "us", "on-node"),
+    ("table5", "device_bw"): ("device_bw", "GB/s", "device"),
+    ("table5", "host"): ("host_to_host", "us", "host-host"),
+    ("table5", "d2d"): ("device_to_device", "us", "d2d"),
+    ("table6", "launch"): ("launch", "us", "launch"),
+    ("table6", "wait"): ("wait", "us", "wait"),
+    ("table6", "hd_lat"): ("hd_latency", "us", "hd-lat"),
+    ("table6", "hd_bw"): ("hd_bandwidth", "GB/s", "hd-bw"),
+    ("table6", "d2d"): ("d2d_latency", "us", "d2d"),
 }
 
-_D2D_FIELD = {"table5": "device_to_device", "table6": "d2d_latency"}
+
+def cell_meta(path: str) -> tuple[str, str]:
+    """The unit and the ``compare`` label (``on-socket us``, ``d2d[A]
+    us``) of the cell a well-formed ``tableN.<machine>.<cell>`` path
+    names."""
+    parts = _segments(path)
+    _field, unit, label = _TABLE_FIELDS[parts[0], parts[2]]
+    if label == "d2d":
+        label = f"d2d[{parts[3]}]"
+    return unit, f"{label} {unit}"
 
 
 class TableSource(Source):
@@ -151,7 +164,12 @@ class TableSource(Source):
             "table6": {r.machine.lower(): r for r in table6},
         }
 
-    def resolve(self, path: str) -> Observation:
+    def lookup(self, path: str) -> tuple:
+        """The row and the raw value of the cell ``path`` names.
+
+        A :class:`Degraded` value passes through, and a degraded d2d
+        bundle answers for each of its classes.
+        """
         parts = _segments(path)
         table = parts[0]
         if table not in self._rows:
@@ -172,36 +190,43 @@ class TableSource(Source):
                 f"(have {sorted(rows)})"
             )
         cell = parts[2]
+        entry = _TABLE_FIELDS.get((table, cell))
         if cell == "d2d":
             if len(parts) != 4:
                 raise ExtractionError(
                     f"{path}: want {table}.<machine>.d2d.<A-D>"
                 )
-            bundle = getattr(row, _D2D_FIELD.get(table, ""), None)
-            if bundle is None:
+            if entry is None:
                 raise ExtractionError(f"{path}: {table} has no d2d cells")
+            bundle = getattr(row, entry[0])
             if isinstance(bundle, Degraded):
-                raise ExtractionError(
-                    f"{path}: d2d cells degraded ({bundle.reason})"
-                )
+                return row, bundle
             cls = _link_class(parts[3], path)
             if cls not in bundle:
                 raise ExtractionError(
                     f"{path}: no class-{cls.value} pair on {row.machine}"
                 )
-            return _cell_observation(path, bundle[cls], "us")
+            return row, bundle[cls]
         if len(parts) != 3:
             raise ExtractionError(f"{path}: trailing segments after {cell!r}")
-        try:
-            field, unit = _TABLE_FIELDS[(table, cell)]
-        except KeyError:
-            known = sorted(
-                name for (tab, name) in _TABLE_FIELDS if tab == table
-            ) + ["d2d"] * (table in _D2D_FIELD)
+        if entry is None:
+            known = sorted(  # d2d last
+                (name for (tab, name) in _TABLE_FIELDS if tab == table),
+                key=lambda name: (name == "d2d", name),
+            )
             raise ExtractionError(
                 f"{path}: unknown {table} cell {cell!r} (want one of {known})"
-            ) from None
-        return _cell_observation(path, getattr(row, field), unit)
+            )
+        return row, getattr(row, entry[0])
+
+    def resolve(self, path: str) -> Observation:
+        _row, value = self.lookup(path)
+        unit, label = cell_meta(path)
+        if isinstance(value, Degraded) and label.startswith("d2d"):
+            raise ExtractionError(
+                f"{path}: d2d cells degraded ({value.reason})"
+            )
+        return _cell_observation(path, value, unit)
 
 
 class MetricsSource(Source):

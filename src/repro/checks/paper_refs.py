@@ -14,8 +14,9 @@ reference can dangle.
 
 from __future__ import annotations
 
-from ..harness.paper_values import PAPER_TABLE4, PAPER_TABLE5, PAPER_TABLE6
-from .spec import CheckSpec, CheckSuite, Reference, StatPolicy
+from ..harness.paper_values import paper_cells
+from .extract import cell_meta
+from .spec import CheckSpec, CheckSuite, Reference
 
 __all__ = ["PAPER_TOLERANCE", "paper_suite"]
 
@@ -25,73 +26,28 @@ PAPER_TOLERANCE = 0.08
 #: n the paper used for its mean/std columns
 _PAPER_RUNS = 100
 
-_UNITS = {
-    "single": "GB/s", "all": "GB/s", "device_bw": "GB/s", "hd_bw": "GB/s",
-    "on_socket": "us", "on_node": "us", "host": "us",
-    "launch": "us", "wait": "us", "hd_lat": "us", "d2d": "us",
-}
-
-
-def _ref(mean: float, std: float, unit: str,
-         tolerance: float) -> Reference:
-    return Reference(
-        value=mean, lower=-tolerance, upper=tolerance, unit=unit,
-        std=std, n=_PAPER_RUNS,
-    )
-
-
-def _cell_checks(table: str, machine: str, cells: dict,
-                 tolerance: float) -> list[CheckSpec]:
-    specs = []
-    slug = machine.lower()
-    for cell, value in cells.items():
-        unit = _UNITS[cell]
-        if cell == "d2d":
-            for cls, (mean, std) in value.items():
-                path = f"{table}.{slug}.d2d.{cls.value}"
-                specs.append(CheckSpec(
-                    name=path,
-                    path=path,
-                    reference=_ref(mean, std, unit, tolerance),
-                ))
-            continue
-        mean, std = value
-        path = f"{table}.{slug}.{cell}"
-        specs.append(CheckSpec(
-            name=path,
-            path=path,
-            reference=_ref(mean, std, unit, tolerance),
-        ))
-    return specs
+_TABLES = ("table4", "table5", "table6")
 
 
 def paper_suite(
-    tables: tuple[str, ...] = ("table4", "table5", "table6"),
+    tables: tuple[str, ...] = _TABLES,
     tolerance: float = PAPER_TOLERANCE,
-    policy: StatPolicy | None = None,
 ) -> CheckSuite:
-    """The paper-reference suite, optionally restricted to some tables."""
-    data = {
-        "table4": PAPER_TABLE4,
-        "table5": PAPER_TABLE5,
-        "table6": PAPER_TABLE6,
-    }
-    checks: list[CheckSpec] = []
+    """The paper-reference suite, optionally restricted to some tables;
+    its checks follow the paper's order."""
     for table in tables:
-        if table not in data:
+        if table not in _TABLES:
             raise ValueError(
                 f"unknown table {table!r} (want table4/5/6)"
             )
-        for machine, cells in data[table].items():
-            checks.extend(_cell_checks(table, machine, cells, tolerance))
-    if policy is not None:
-        checks = [
-            CheckSpec(
-                name=c.name, path=c.path, reference=c.reference,
-                policy=policy, better=c.better,
-            )
-            for c in checks
-        ]
+    checks = tuple(
+        CheckSpec(name=path, path=path, reference=Reference(
+            value=mean, lower=-tolerance, upper=tolerance,
+            unit=cell_meta(path)[0], std=std, n=_PAPER_RUNS,
+        ))
+        for path, mean, std in paper_cells()
+        if path.split(".", 1)[0] in tables
+    )
     return CheckSuite(
         name="paper-refs",
         description=(
@@ -99,5 +55,5 @@ def paper_suite(
             f"±{tolerance:.0%} with the published std over "
             f"{_PAPER_RUNS} runs"
         ),
-        checks=tuple(checks),
+        checks=checks,
     )

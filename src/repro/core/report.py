@@ -52,12 +52,7 @@ def inventory_section() -> str:
 def full_report(study: Study | None = None, include_comparison: bool = True) -> str:
     """The complete study as a markdown document."""
     # imported here to avoid a core -> harness import cycle at module load
-    from ..harness.compare import (
-        compare_table4,
-        compare_table5,
-        compare_table6,
-        render_comparison,
-    )
+    from ..harness.compare import comparison_rows, render_comparison
 
     study = study or Study()
     t4 = build_table4(study)
@@ -93,13 +88,10 @@ def full_report(study: Study | None = None, include_comparison: bool = True) -> 
                   "```", render_node_ascii(machine), "```", ""]
 
     if include_comparison:
-        comparison = (
-            compare_table4(t4) + compare_table5(t5) + compare_table6(t6)
-        )
         parts += [
             "## Paper vs. measured (all table cells)",
             "",
-            render_comparison(comparison, markdown=True),
+            render_comparison(comparison_rows(t4, t5, t6), markdown=True),
             "",
         ]
     return "\n".join(parts)

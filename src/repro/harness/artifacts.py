@@ -33,12 +33,7 @@ from ..core.tables import (
     render_table6,
 )
 from ..machines.registry import cpu_machines, gpu_machines
-from .compare import (
-    compare_table4,
-    compare_table5,
-    compare_table6,
-    render_comparison,
-)
+from .compare import comparison_rows, render_comparison
 
 
 @dataclass
@@ -79,8 +74,8 @@ def build_artifacts(study: Study | None = None, curves: bool = True) -> Artifact
     bundle.add("tables/table6.txt", render_table6(t6))
     bundle.add("tables/table7.txt", render_table7(t7))
 
-    comparison = compare_table4(t4) + compare_table5(t5) + compare_table6(t6)
-    bundle.add("comparison.md", render_comparison(comparison, markdown=True))
+    bundle.add("comparison.md",
+               render_comparison(comparison_rows(t4, t5, t6), markdown=True))
     bundle.add("report.md", full_report(study))
 
     for number in sorted(FIGURE_MACHINES):

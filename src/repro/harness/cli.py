@@ -195,19 +195,11 @@ def run_target(target: str, study: "Study | None" = None) -> str:
         return render_node_ascii(figure_for(number))
     if target == "compare":
         from ..core.tables import build_table4, build_table5, build_table6
-        from .compare import (
-            compare_table4,
-            compare_table5,
-            compare_table6,
-            render_comparison,
-        )
+        from .compare import comparison_rows, render_comparison
 
-        rows = (
-            compare_table4(build_table4(study))
-            + compare_table5(build_table5(study))
-            + compare_table6(build_table6(study))
-        )
-        return render_comparison(rows)
+        return render_comparison(comparison_rows(
+            build_table4(study), build_table5(study), build_table6(study)
+        ))
     if target == "report":
         from ..core.report import full_report
 

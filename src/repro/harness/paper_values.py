@@ -2,11 +2,13 @@
 
 Units follow the paper: bandwidths in GB/s, latencies in microseconds.
 Each entry is ``(mean, std)``.  These values are **reference data only**
-— the simulators never read them; the comparison harness and the
-acceptance tests do.
+— the simulators never read them.  :func:`paper_cells` is the one walk
+over Tables 4-6: ``compare`` and the ``check`` suite both read it.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from ..hardware.topology import LinkClass
 
@@ -117,6 +119,23 @@ PAPER_TABLE6: dict[str, dict] = {
         "d2d": {A: (9.85, 0.02), B: (12.59, 0.01), C: (12.46, 0.01), D: (10.12, 0.02)},
     },
 }
+
+
+def paper_cells() -> Iterator[tuple[str, float, float]]:
+    """Every cell of Tables 4-6 as ``(path, mean, std)``, in the paper's
+    order, addressed as :class:`~repro.checks.extract.TableSource` reads
+    it (``table4.trinity.single``); one ``d2d`` cell per link class."""
+    for table, data in (("table4", PAPER_TABLE4), ("table5", PAPER_TABLE5),
+                        ("table6", PAPER_TABLE6)):
+        for machine, cells in data.items():
+            for cell, value in cells.items():
+                path = f"{table}.{machine.lower()}.{cell}"
+                if cell == "d2d":
+                    for cls, (mean, std) in value.items():
+                        yield f"{path}.{cls.value}", mean, std
+                else:
+                    yield (path, *value)
+
 
 #: Table 7 — (low, high) ranges per accelerator family.
 PAPER_TABLE7: dict[str, dict[str, tuple[float, float]]] = {

@@ -18,10 +18,12 @@ events, so Perfetto shows one lane per subsystem.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .profiler import SimProfiler
 from .span import SpanRecord, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .profiler import SimProfiler
 
 #: pid for the simulated-time timeline
 PID_SIM = 1

@@ -2,7 +2,7 @@
 
 A :class:`Tracer` records one record kind, the :class:`SpanRecord`: a
 named interval with begin/end in host wall-time (always) and in
-simulated time (when the tracer view has a sim clock, or for a
+simulated time (when the span or its tracer has a sim clock, or for a
 retrospective :meth:`Tracer.complete` span).  Spans nest; the
 context-manager API enforces LIFO exit order, and the manual
 ``begin``/``end`` API raises :class:`~repro.errors.ObservabilityError`
@@ -232,11 +232,6 @@ class Tracer:
         if dropped:
             self.dropped += dropped
 
-    # -- scoped views ------------------------------------------------------
-    def with_clock(self, clock: Callable[[], float]) -> "ClockedTracer":
-        """A view of this tracer whose spans also record simulated time."""
-        return ClockedTracer(self, clock)
-
     # -- reading -----------------------------------------------------------
     def records(self) -> list[SpanRecord]:
         return list(self._records)
@@ -254,27 +249,6 @@ class Tracer:
             )
         self._records.clear()
         self.dropped = 0
-
-
-class ClockedTracer:
-    """Lightweight view binding a sim clock to every span it opens."""
-
-    __slots__ = ("_tracer", "_clock")
-    enabled = True
-
-    def __init__(self, tracer: Tracer, clock: Callable[[], float]) -> None:
-        self._tracer = tracer
-        self._clock = clock
-
-    def span(self, name: str, category: str = "span", **attrs: Any) -> Span:
-        return self._tracer.begin(name, category, clock=self._clock, **attrs)
-
-    def begin(self, name: str, category: str = "span", **attrs: Any) -> Span:
-        return self._tracer.begin(name, category, clock=self._clock, **attrs)
-
-    def complete(self, name: str, category: str, sim_begin: float,
-                 sim_end: float, **attrs: Any) -> None:
-        self._tracer.complete(name, category, sim_begin, sim_end, **attrs)
 
 
 class _NullSpan:
@@ -319,9 +293,6 @@ class NullTracer:
     def absorb(self, records: list, *, wall_origin: Optional[float] = None,
                dropped: int = 0) -> None:
         return None
-
-    def with_clock(self, clock: Callable[[], float]) -> "NullTracer":
-        return self
 
     def records(self) -> list:
         return []

@@ -10,11 +10,6 @@ import pytest
 
 from repro.core.tables import build_table4, build_table5, build_table6
 from repro.core.summary import build_table7
-from repro.harness.compare import (
-    compare_table4,
-    compare_table5,
-    compare_table6,
-)
 from repro.harness.paper_values import PAPER_TABLE7
 from repro.hardware.gpu import GpuFamily
 from repro.hardware.topology import LinkClass
@@ -225,15 +220,17 @@ class TestSection4CommScopeClaims:
 
 class TestQuantitativeAgreement:
     def test_every_cell_within_5_percent(self, t4, t5, t6):
-        from repro.harness.compare import gate_comparison
+        from repro.checks.evaluate import evaluate
+        from repro.checks.extract import TableSource
+        from repro.checks.paper_refs import paper_suite
 
-        rows = compare_table4(t4) + compare_table5(t5) + compare_table6(t6)
-        report = gate_comparison(rows, tolerance=0.05)
+        report = evaluate(paper_suite(tolerance=0.05), TableSource(t4, t5, t6))
         assert report.exit_code == 0, [
             f"{r.name}: {r.failure_kind} ({r.reason or r.observed})"
             for r in report.failed
         ]
-        assert len(report.results) == len(rows)
+        assert len(report.results) == 108
+        assert not report.skipped, [r.reason for r in report.skipped]
 
     def test_table7_ranges_overlap_paper(self, t7):
         """Measured family ranges must overlap the published ranges."""

@@ -12,9 +12,13 @@ from repro.checks.evaluate import (
     classify_delta,
     evaluate,
 )
-from repro.checks.extract import CallableSource, MetricsSource
+from repro.checks.extract import CallableSource, MetricsSource, TableSource
+from repro.checks.paper_refs import paper_suite
 from repro.checks.report import render_report, render_report_json
 from repro.checks.spec import CheckSpec, CheckSuite, Reference, StatPolicy
+from repro.core.resilience import Degraded
+from repro.core.results import Statistic
+from repro.core.tables import Table4Row
 
 pytestmark = pytest.mark.checks
 
@@ -286,35 +290,49 @@ class TestClassifyDelta:
 
 
 class TestComparisonGate:
+    """The sim-vs-paper agreement gate: the paper-reference suite at a
+    5 % band, resolved through the same table map ``compare`` reads."""
+
+    @staticmethod
+    def _eagle(on_socket):
+        return Table4Row(
+            machine="Eagle", rank=100,
+            single=Statistic(13.50, 0.03, 10),
+            all_threads=Statistic(208.24, 0.92, 10), peak_label="",
+            on_socket=on_socket, on_node=Statistic(0.38, 0.01, 10),
+        )
+
     def test_compare_rows_gate_through_evaluator(self, fast_study):
         from repro.core.tables import build_table4
-        from repro.harness.compare import compare_table4, gate_comparison
         from repro.machines.registry import cpu_machines
 
-        rows = compare_table4(build_table4(fast_study, cpu_machines()))
-        report = gate_comparison(rows, tolerance=0.05)
+        source = TableSource(build_table4(fast_study, cpu_machines()))
+        suite = paper_suite(tables=("table4",), tolerance=0.05)
+        report = evaluate(suite, source)
         assert report.exit_code == EXIT_OK
-        assert len(report.results) == len(rows)
+        assert len(report.results) == len(suite) == 20
+        assert not report.skipped
 
     def test_gate_comparison_flags_out_of_band_row(self):
-        from repro.harness.compare import ComparisonRow, gate_comparison
-
-        rows = [
-            ComparisonRow("T4", "Eagle", "on-socket us", 0.17, 0.30),
-            ComparisonRow("T4", "Eagle", "single GB/s", 13.45, 13.50),
-        ]
-        report = gate_comparison(rows, tolerance=0.05)
+        suite = paper_suite(tables=("table4",), tolerance=0.05).subset(
+            ["table4.eagle.on_socket", "table4.eagle.single"]
+        )
+        source = TableSource([self._eagle(Statistic(0.30, 0.001, 10))])
+        report = evaluate(suite, source)
         assert report.exit_code == EXIT_REGRESSION
         (fail,) = report.failed
-        assert fail.name == "T4/Eagle/on-socket us"
+        assert fail.name == "table4.eagle.on_socket"
+        assert fail.failure_kind == "regression"
         # direction came from the shared inference: GB/s is higher-better
-        assert report.results[1].direction == "higher"
+        by_name = {r.name: r for r in report.results}
+        assert by_name["table4.eagle.single"].direction == "higher"
 
     def test_degraded_rows_excluded(self):
-        from repro.core.resilience import Degraded
-        from repro.harness.compare import ComparisonRow, gate_comparison
-
-        rows = [ComparisonRow("T4", "Eagle", "on-socket us", 0.17,
-                              Degraded("x", "fault", 1))]
-        report = gate_comparison(rows)
-        assert report.results == []
+        suite = paper_suite(tables=("table4",), tolerance=0.05).subset(
+            ["table4.eagle.on_socket"]
+        )
+        source = TableSource([self._eagle(Degraded("x", "fault", 1))])
+        report = evaluate(suite, source)
+        (skip,) = report.skipped
+        assert "cell degraded (fault)" in skip.reason
+        assert report.exit_code == EXIT_OK

@@ -9,11 +9,12 @@ from repro.checks.extract import (
     MetricsSource,
     Observation,
     TableSource,
+    cell_meta,
     ledger_source,
 )
 from repro.core.resilience import Degraded
 from repro.core.results import Statistic
-from repro.core.tables import Table4Row
+from repro.core.tables import Table4Row, Table5Row
 
 pytestmark = pytest.mark.checks
 
@@ -26,6 +27,14 @@ def _row(machine="Eagle"):
         all_threads=Statistic(mean=208.24, std=0.92, n=10),
         peak_label="peak", on_socket=lat,
         on_node=Statistic(mean=0.38, std=0.01, n=10),
+    )
+
+
+def _gpu_row(d2d):
+    stat = Statistic(1.0, 0.0, 1)
+    return Table5Row(
+        machine="Frontier", rank=1, device_bw=stat, peak_label="",
+        host_to_host=stat, device_to_device=d2d,
     )
 
 
@@ -50,6 +59,14 @@ class TestTableSource:
         src = TableSource(table4=[_row()])
         with pytest.raises(ExtractionError, match="on_socket"):
             src.resolve("table4.eagle.latency")
+        src = TableSource(table5=[_gpu_row(Statistic(1.0, 0.0, 1))])
+        with pytest.raises(ExtractionError) as err:
+            src.resolve("table5.frontier.latency")
+        assert str(err.value).endswith(
+            "(want one of ['device_bw', 'host', 'd2d'])"
+        )
+        with pytest.raises(ExtractionError, match="table4 has no d2d"):
+            TableSource(table4=[_row()]).resolve("table4.eagle.d2d.A")
 
     def test_unknown_table_and_arity_errors(self):
         src = TableSource(table4=[_row()])
@@ -70,6 +87,37 @@ class TestTableSource:
         )
         with pytest.raises(ExtractionError, match="node fault"):
             TableSource(table4=[row]).resolve("table4.eagle.single")
+
+    def test_lookup_passes_a_degraded_cell_through(self):
+        marker = Degraded("Eagle/osu", "node fault", 3)
+        row = Table4Row(
+            machine="Eagle", rank=100, single=Statistic(1.0, 0.0, 1),
+            all_threads=Statistic(1.0, 0.0, 1), peak_label="",
+            on_socket=marker, on_node=Statistic(1.0, 0.0, 1),
+        )
+        found, value = TableSource(table4=[row]).lookup(
+            "table4.eagle.on_socket"
+        )
+        assert found is row and value is marker
+
+    def test_degraded_d2d_bundle_answers_for_each_class(self):
+        marker = Degraded("Frontier/osu", "node fault", 3)
+        src = TableSource(table5=[_gpu_row(marker)])
+        for cls in "ABCD":
+            _row5, value = src.lookup(f"table5.frontier.d2d.{cls}")
+            assert value is marker
+        with pytest.raises(
+            ExtractionError, match=r"d2d cells degraded \(node fault\)"
+        ):
+            src.resolve("table5.frontier.d2d.A")
+
+    def test_cell_meta_carries_unit_and_compare_label(self):
+        assert cell_meta("table4.eagle.on_socket") == ("us", "on-socket us")
+        assert cell_meta("table5.frontier.device_bw") == (
+            "GB/s", "device GB/s",
+        )
+        assert cell_meta("table5.frontier.host") == ("us", "host-host us")
+        assert cell_meta("table6.tioga.d2d.D") == ("us", "d2d[D] us")
 
     def test_d2d_requires_class(self, fast_check_source):
         obs = fast_check_source.resolve("table5.frontier.d2d.A")

@@ -90,6 +90,6 @@ def fast_check_source(fast_study):
     """A checks extractor source over the fast study: every table cell
     plus the flattened ``metrics:sim.*`` rows (shared so the checks
     suite builds the tables once per session)."""
-    from repro.checks import study_source
+    from repro.checks.extract import study_source
 
     return study_source(fast_study, cpu_machines(), gpu_machines())

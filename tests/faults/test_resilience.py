@@ -109,7 +109,7 @@ class TestStudyDegradation:
         from repro.core.tables import (
             build_table5, build_table6, render_table5, render_table6,
         )
-        from repro.harness.compare import compare_table5, compare_table6
+        from repro.harness.compare import comparison_rows
 
         study = Study(StudyConfig(runs=2, faults=ALWAYS_FAIL, max_retries=0))
         t5 = build_table5(study, machines=[frontier])
@@ -123,7 +123,7 @@ class TestStudyDegradation:
         assert "Accelerator" in render_table7(build_table7(t5, t6))
         # degraded cells stay in the comparison as —† rows (they must
         # not vanish), but carry no relative error
-        rows = compare_table5(t5) + compare_table6(t6)
+        rows = comparison_rows(table5=t5, table6=t6)
         assert rows and all(r.degraded for r in rows)
 
     def test_degraded_study_is_deterministic(self, sawtooth):

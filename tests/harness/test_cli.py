@@ -272,15 +272,31 @@ UNCALLED_MODULES = [
     "platform",
 ]
 
+#: the ``check`` modules ``all`` calls nothing in: ``compare`` reads
+#: table cells through ``repro.checks.extract`` only
+CHECK_ONLY_MODULES = [
+    "repro.checks.spec", "repro.checks.evaluate", "repro.checks.report",
+    "repro.checks.paper_refs",
+]
+
 #: runs ``all`` (ledger on) and ``check``, checks that neither loaded an
-#: uncalled module, then that each still loads where it is used
+#: uncalled module, that ``all`` loaded none of ``check``'s, and that
+#: ``--metrics-out``/``--trace-out`` leave the profiler unloaded; then
+#: that each still loads where it is used
 LOADS_WHAT_IT_CALLS = f"""
 import sys
 from repro.harness.cli import main
+assert not [m for m in sys.modules if m.startswith("repro.checks")]
 assert main(["all", "--runs", "2"]) == 0
+loaded = [m for m in {CHECK_ONLY_MODULES!r} if m in sys.modules]
+assert not loaded, loaded
 assert main(["check", "--runs", "2"]) == 0
 loaded = [m for m in {UNCALLED_MODULES!r} if m in sys.modules]
 assert not loaded, loaded
+argv = ["table4", "--runs", "2", "--metrics-out", "m.json",
+        "--trace-out", "t.json"]
+assert main(argv) == 0
+assert "repro.obs.profiler" not in sys.modules
 argv = ["table5", "--runs", "2", "--profile", "--events-out", sys.argv[1]]
 assert main(argv) == 0
 assert "repro.obs.profiler" in sys.modules

@@ -61,8 +61,9 @@ class TestAttributions:
     """The bundle and the ledger share one attribution per tracer state."""
 
     def _window(self, ctx, clock):
-        tracer = ctx.tracer.with_clock(lambda: clock[0])
-        window = tracer.begin("osu.pingpong", "benchmarks")
+        tracer = ctx.tracer
+        window = tracer.begin("osu.pingpong", "benchmarks",
+                              clock=lambda: clock[0])
         tracer.complete("send.eager", "mpisim", 0.0, 1.0)
         clock[0] = 2.0
         return tracer, window

@@ -113,8 +113,7 @@ class TestSimClock:
     def test_clocked_view_records_sim_time(self):
         now = {"t": 1.5}
         tr = Tracer()
-        view = tr.with_clock(lambda: now["t"])
-        with view.span("timed", "mpisim"):
+        with tr.begin("timed", "mpisim", clock=lambda: now["t"]):
             now["t"] = 2.5
         [record] = tr.records()
         assert record.sim_begin == 1.5
@@ -141,7 +140,7 @@ class TestNullTracer:
         NULL_TRACER.complete("s", "c", 0.0, 1.0)
         assert len(NULL_TRACER) == 0
         assert NULL_TRACER.records() == []
-        assert NULL_TRACER.with_clock(lambda: 0.0) is NULL_TRACER
+        assert NULL_TRACER.begin("x", "y", clock=lambda: 0.0) is NULL_SPAN
 
 
 class TestAbsorb:
