@@ -1,16 +1,14 @@
 """Error metrics for the paper-vs-measured comparison, plus the
-statistical machinery the regression gates are built on: Welch's
-unequal-variance t-test, the Mann-Whitney U rank test and a seeded
-bootstrap confidence interval — all implemented dependency-free
-("MPI Benchmarking Revisited": run-to-run comparisons need a
-statistical footing, and latency samples are rarely normal)."""
+statistics the regression gates are built on: Welch's unequal-variance
+t-test from summary statistics and the confidence half-width of a mean,
+implemented dependency-free ("MPI Benchmarking Revisited": run-to-run
+comparisons need a statistical footing, not bare mean deltas)."""
 
 from __future__ import annotations
 
 import math
 import re
 from functools import lru_cache
-from typing import Sequence
 
 from .._dataclass import dataclass
 
@@ -233,123 +231,6 @@ def ci_half_width(std: float, n: int, alpha: float = 0.05) -> float:
     return student_t_quantile_two_sided(alpha, n - 1) * std / math.sqrt(n)
 
 
-# ---------------------------------------------------------------------------
-# nonparametric comparisons: latency samples are rarely normal, so the
-# checks evaluator can opt out of the t machinery entirely
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MannWhitneyResult:
-    """Mann-Whitney U outcome for two raw samples (normal approximation
-    with tie correction; exact enough from ~8 observations per side)."""
-
-    u: float
-    z: float
-    p_value: float
-
-    def significant(self, alpha: float = 0.01) -> bool:
-        return self.p_value < alpha
-
-
-def mann_whitney_u(
-    xs: Sequence[float], ys: Sequence[float]
-) -> MannWhitneyResult:
-    """Two-sided Mann-Whitney U test over raw samples.
-
-    Dependency-free: midranks with tie correction, then the normal
-    approximation for the p-value.  Degenerate all-tied inputs (every
-    observation equal — a deterministic simulation) return ``p = 1``.
-    """
-    nx, ny = len(xs), len(ys)
-    if nx < 1 or ny < 1:
-        raise ValueError(f"both samples must be non-empty: {nx}, {ny}")
-    pooled = sorted(
-        [(float(v), 0) for v in xs] + [(float(v), 1) for v in ys]
-    )
-    n = nx + ny
-    ranks = [0.0] * n
-    tie_term = 0.0
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and pooled[j + 1][0] == pooled[i][0]:
-            j += 1
-        midrank = 0.5 * (i + j) + 1.0
-        for k in range(i, j + 1):
-            ranks[k] = midrank
-        t = j - i + 1
-        if t > 1:
-            tie_term += t * (t * t - 1.0)
-        i = j + 1
-    rank_sum_x = sum(r for r, (_v, side) in zip(ranks, pooled) if side == 0)
-    u = rank_sum_x - nx * (nx + 1) / 2.0
-    mean_u = nx * ny / 2.0
-    var_u = (
-        nx * ny / 12.0 * ((n + 1.0) - tie_term / (n * (n - 1.0)))
-        if n > 1 else 0.0
-    )
-    if var_u <= 0.0:
-        # every pooled observation tied: no evidence of a shift
-        return MannWhitneyResult(u=u, z=0.0, p_value=1.0)
-    z = (u - mean_u) / math.sqrt(var_u)
-    p = math.erfc(abs(z) / math.sqrt(2.0))
-    return MannWhitneyResult(u=u, z=z, p_value=p)
-
-
-@dataclass(frozen=True)
-class BootstrapCI:
-    """Percentile bootstrap confidence interval for a sample mean."""
-
-    low: float
-    high: float
-    resamples: int
-
-    @property
-    def half_width(self) -> float:
-        return 0.5 * (self.high - self.low)
-
-
-def bootstrap_mean_ci(
-    samples: Sequence[float],
-    alpha: float = 0.05,
-    resamples: int = 400,
-    seed: int = 0,
-) -> BootstrapCI:
-    """Seeded percentile-bootstrap CI of the mean — deterministic given
-    ``seed``, so a checks evaluation is byte-reproducible."""
-    values = [float(v) for v in samples]
-    if not values:
-        raise ValueError("bootstrap needs at least one sample")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha out of (0, 1): {alpha}")
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1: {resamples}")
-    n = len(values)
-    if n == 1 or min(values) == max(values):
-        return BootstrapCI(low=values[0], high=values[0],
-                           resamples=resamples)
-    import random
-
-    rng = random.Random(seed)
-    means = sorted(
-        sum(values[rng.randrange(n)] for _ in range(n)) / n
-        for _ in range(resamples)
-    )
-
-    def percentile(q: float) -> float:
-        pos = q * (len(means) - 1)
-        lo = int(math.floor(pos))
-        hi = min(lo + 1, len(means) - 1)
-        frac = pos - lo
-        return means[lo] * (1.0 - frac) + means[hi] * frac
-
-    return BootstrapCI(
-        low=percentile(alpha / 2.0),
-        high=percentile(1.0 - alpha / 2.0),
-        resamples=resamples,
-    )
-
-
 __all__ = [
     "relative_error",
     "ratio",
@@ -361,8 +242,4 @@ __all__ = [
     "ci_half_width",
     "WelchResult",
     "welch_t_test",
-    "MannWhitneyResult",
-    "mann_whitney_u",
-    "BootstrapCI",
-    "bootstrap_mean_ci",
 ]

@@ -2,10 +2,12 @@
 
 The one place "is this measurement acceptable" is decided: reference
 values with tolerances (ReFrame's ``(value, lower, upper, unit)``
-idiom), statistical policies (interval, Welch-t, Mann-Whitney,
-bootstrap) with adaptive repeat counts, extractor paths addressing any
-table cell / obs metric / ledger run, and a single evaluator that
-``runs diff`` and ``python -m repro check`` both gate through.
+idiom), two statistical policies (an interval test, or Welch's t
+against the reference's own std and n) with adaptive repeat counts,
+extractor paths addressing any table cell / obs metric / ledger run,
+and a single evaluator that ``python -m repro check`` and ``repro runs
+diff`` both gate through (``runs diff`` as a ``welch`` suite built from
+the baseline run's metric rows).
 ``compare`` gates nothing: it prints the paper's cells beside the
 measured ones, read through the same
 :class:`~repro.checks.extract.TableSource` that ``check`` resolves.

@@ -1,17 +1,12 @@
 """The one evaluator every gate goes through.
 
-Two entry points:
-
-* :func:`classify_delta` — the baseline-vs-current comparator
-  (practical threshold AND Welch significance must agree before a
-  change counts).  ``repro runs diff`` and the study ledger delegate
-  here via
-  :func:`repro.obs.analyze.baseline.compare_metric`.
-* :func:`evaluate` — judge a :class:`~repro.checks.spec.CheckSuite`
-  against a :class:`~repro.checks.extract.Source`, producing a
-  :class:`CheckReport` with per-check pass/fail/skip, observed vs
-  reference, confidence half-widths, and the exit-code discipline
-  ``0 ok / 3 regression / 4 inflated``.
+:func:`evaluate` judges a :class:`~repro.checks.spec.CheckSuite`
+against a :class:`~repro.checks.extract.Source`, producing a
+:class:`CheckReport` with per-check pass/fail/skip, observed vs
+reference, confidence half-widths, and the exit-code discipline
+``0 ok / 3 regression / 4 inflated``.  ``python -m repro check`` runs
+the paper-reference suite through it, and ``repro runs diff`` runs a
+``welch`` suite built from the baseline run's metric rows.
 
 A failed check is a *regression* when the violated bound sits on the
 metric's bad side (latency above the band, bandwidth below it) and
@@ -30,19 +25,11 @@ from dataclasses import field
 from typing import Optional
 
 from .._dataclass import dataclass
-from ..analysis.metrics import (
-    bootstrap_mean_ci,
-    ci_half_width,
-    mann_whitney_u,
-    relative_error,
-    welch_t_test,
-)
+from ..analysis.metrics import ci_half_width, welch_t_test
 from .extract import ExtractionError, Observation, Source
 from .spec import CheckSpec, CheckSuite, Reference
 
 __all__ = [
-    "DeltaVerdict",
-    "classify_delta",
     "CheckResult",
     "CheckReport",
     "evaluate",
@@ -57,54 +44,6 @@ EXIT_REGRESSION = 3
 EXIT_INFLATED = 4
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
-
-
-# ---------------------------------------------------------------------------
-# baseline-vs-current comparator (runs diff delegates here)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DeltaVerdict:
-    """Outcome of one baseline-vs-current metric comparison."""
-
-    verdict: str  # improved | unchanged | regressed
-    rel_change: float
-    p_value: float
-
-
-def classify_delta(
-    baseline_mean: float,
-    baseline_std: float,
-    baseline_n: int,
-    current_mean: float,
-    current_std: float,
-    current_n: int,
-    better: str = "lower",
-    threshold: float = 0.02,
-    alpha: float = 0.01,
-) -> DeltaVerdict:
-    """Classify a change: practical AND statistical tests must agree.
-
-    A metric only counts as changed when the relative deviation
-    exceeds ``threshold`` *and* Welch's t-test rejects equality at
-    ``alpha`` — a large-but-noisy delta and a significant-but-tiny one
-    both stay ``unchanged``.  Direction of goodness then splits changed
-    into ``regressed`` vs ``improved``.
-    """
-    rel = relative_error(current_mean, baseline_mean)
-    welch = welch_t_test(
-        baseline_mean, baseline_std, baseline_n,
-        current_mean, current_std, current_n,
-    )
-    verdict = "unchanged"
-    if rel > threshold and welch.significant(alpha):
-        worse = (
-            current_mean > baseline_mean
-            if better == "lower"
-            else current_mean < baseline_mean
-        )
-        verdict = "regressed" if worse else "improved"
-    return DeltaVerdict(verdict=verdict, rel_change=rel, p_value=welch.p_value)
 
 
 # ---------------------------------------------------------------------------
@@ -232,86 +171,38 @@ def _failure_kind(observed: float, reference: Reference, direction: str) -> str:
 
 
 def _judge(spec: CheckSpec, obs: Observation) -> tuple[str, str, str]:
-    """``(status, failure_kind, reason)`` for a finite observation."""
+    """``(status, failure_kind, reason)`` for a finite observation.
+
+    Inside the band passes in either mode.  Outside it, ``interval``
+    fails, and ``welch`` fails only when Welch's t-test calls the
+    change significant at the policy's alpha.
+    """
     ref = spec.reference
-    policy = spec.policy
-    in_band = ref.contains(obs.mean)
-    mode = policy.mode
-
-    if mode == "interval":
-        if in_band:
-            return PASS, "", ""
-        return FAIL, _failure_kind(obs.mean, ref, spec.direction), (
-            f"mean {obs.mean:.6g} outside "
-            f"[{ref.bounds()[0]:.6g}, {ref.bounds()[1]:.6g}]"
-        )
-
-    if mode == "welch":
-        if in_band:
-            return PASS, "", ""
-        if ref.std is None or ref.n < 2 or obs.n < 2:
-            # no dispersion on one side: the t-test cannot run, so the
-            # interval verdict stands (noted for the report)
-            return FAIL, _failure_kind(obs.mean, ref, spec.direction), (
-                f"mean {obs.mean:.6g} out of band; welch unavailable "
-                f"(need std and n >= 2 on both sides), interval verdict"
-            )
-        welch = welch_t_test(
-            ref.value, ref.std, ref.n, obs.mean, obs.std, obs.n
-        )
-        if not welch.significant(policy.alpha):
-            return PASS, "", (
-                f"out of band but not significant "
-                f"(p={welch.p_value:.3g} >= alpha={policy.alpha})"
-            )
-        return FAIL, _failure_kind(obs.mean, ref, spec.direction), (
-            f"mean {obs.mean:.6g} out of band and significant "
-            f"(p={welch.p_value:.3g})"
-        )
-
-    if mode == "mannwhitney":
-        if obs.samples is None or len(obs.samples) < 2:
-            return SKIP, "", (
-                "mannwhitney needs raw samples (summary-only source)"
-            )
-        if in_band:
-            return PASS, "", ""
-        # one-sample location test: rank the observed samples against
-        # the reference value (a degenerate second sample); significant
-        # only when the samples sit consistently on one side of it
-        ranks = mann_whitney_u(
-            obs.samples, [ref.value] * max(ref.n, 2)
-        )
-        if not ranks.significant(policy.alpha):
-            return PASS, "", (
-                f"out of band but ranks not significant "
-                f"(p={ranks.p_value:.3g})"
-            )
-        return FAIL, _failure_kind(obs.mean, ref, spec.direction), (
-            f"mean {obs.mean:.6g} out of band, ranks significant "
-            f"(p={ranks.p_value:.3g})"
-        )
-
-    # bootstrap: the CI of the mean must overlap the acceptance band —
-    # an entirely-outside CI fails, a straddling one passes as noise
-    if obs.samples is None or len(obs.samples) < 2:
-        return SKIP, "", "bootstrap needs raw samples (summary-only source)"
-    ci = bootstrap_mean_ci(
-        obs.samples,
-        alpha=policy.alpha,
-        resamples=policy.bootstrap_resamples,
-        seed=policy.seed,
-    )
-    low, high = ref.bounds()
-    if ci.high < low or ci.low > high:
-        return FAIL, _failure_kind(obs.mean, ref, spec.direction), (
-            f"bootstrap CI [{ci.low:.6g}, {ci.high:.6g}] entirely outside "
-            f"[{low:.6g}, {high:.6g}]"
-        )
-    if in_band:
+    if ref.contains(obs.mean):
         return PASS, "", ""
-    return PASS, "", (
-        f"mean {obs.mean:.6g} out of band but bootstrap CI overlaps it"
+    kind = _failure_kind(obs.mean, ref, spec.direction)
+    if spec.policy.mode == "interval":
+        low, high = ref.bounds()
+        return FAIL, kind, (
+            f"mean {obs.mean:.6g} outside [{low:.6g}, {high:.6g}]"
+        )
+    if ref.std is None:
+        # the reference carries no dispersion: the t-test cannot run,
+        # so the interval verdict stands (noted for the report)
+        return FAIL, kind, (
+            f"mean {obs.mean:.6g} out of band; welch unavailable "
+            f"(reference has no std), interval verdict"
+        )
+    welch = welch_t_test(ref.value, ref.std, ref.n, obs.mean, obs.std, obs.n)
+    alpha = spec.policy.alpha
+    if not welch.significant(alpha):
+        return PASS, "", (
+            f"out of band but not significant "
+            f"(p={welch.p_value:.3g} >= alpha={alpha})"
+        )
+    return FAIL, kind, (
+        f"mean {obs.mean:.6g} out of band and significant "
+        f"(p={welch.p_value:.3g})"
     )
 
 
@@ -379,8 +270,8 @@ def evaluate(
 ) -> CheckReport:
     """Judge every check of ``suite`` against ``source``, in spec order.
 
-    Every statistical mode is seeded/deterministic, so the report —
-    including its rendered forms — is byte-identical on every run.
+    Both modes are deterministic, so the report — including its
+    rendered forms — is byte-identical on every run.
     """
     results = [_evaluate_one(spec, source, adaptive) for spec in suite.checks]
     return CheckReport(suite=suite.name, results=results, adaptive=adaptive)

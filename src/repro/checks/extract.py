@@ -24,7 +24,7 @@ evaluator turns those into skip-with-reason results, never crashes.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .._dataclass import dataclass
 from ..core.resilience import Degraded
@@ -50,19 +50,13 @@ class ExtractionError(LookupError):
 
 @dataclass(frozen=True)
 class Observation:
-    """One resolved measurement: summary stats plus optional raw samples.
-
-    ``samples`` is populated only by sources that keep raw repeats
-    (e.g. :class:`CallableSource`); the nonparametric evaluator modes
-    need it, the summary modes do not.
-    """
+    """One resolved measurement, as summary statistics."""
 
     path: str
     mean: float
     std: float = 0.0
     n: int = 1
     unit: str = ""
-    samples: Optional[tuple[float, ...]] = None
 
     @classmethod
     def from_statistic(
@@ -76,11 +70,7 @@ class Observation:
     def from_samples(
         cls, path: str, samples: Sequence[float], unit: str = ""
     ) -> "Observation":
-        stat = Statistic.from_samples(samples)
-        return cls(
-            path=path, mean=stat.mean, std=stat.std, n=stat.n, unit=unit,
-            samples=tuple(float(s) for s in samples),
-        )
+        return cls.from_statistic(path, Statistic.from_samples(samples), unit)
 
     def is_finite(self) -> bool:
         return math.isfinite(self.mean) and math.isfinite(self.std)
@@ -234,7 +224,9 @@ class MetricsSource(Source):
 
     Accepts either a flat ``{name: row}`` mapping (a study's
     ``outcome_summary()``) or a full ``repro.bench/v1`` document with a
-    ``targets`` mapping (``BenchRun.to_json()`` / a ledger metrics doc).
+    ``targets`` mapping (a ledger metrics doc, a ``BENCH_*.json`` file).
+    A row holds ``mean`` and optionally ``std``, ``n``, ``unit``,
+    ``better`` and ``gate`` (``false`` marks an advisory row).
     """
 
     def __init__(self, doc: Mapping):
@@ -247,6 +239,35 @@ class MetricsSource(Source):
             }
         else:
             self._by_target = {"": dict(doc)}
+
+    def rows(self) -> Iterator[tuple[str, str, Mapping]]:
+        """Every ``(target, name, row)``, by target and then by name; a
+        flat mapping's rows carry the target ``""``."""
+        for target in sorted(self._by_target):
+            metrics = self._by_target[target]
+            for name in sorted(metrics):
+                yield target, name, metrics[name]
+
+    @staticmethod
+    def observation(path: str, row) -> Observation:
+        """``row`` read as an observation of ``path``."""
+        try:
+            obs = Observation(
+                path=path,
+                mean=float(row["mean"]),
+                std=float(row.get("std", 0.0)),
+                n=int(row.get("n", 1)),
+                unit=str(row.get("unit", "")),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ExtractionError(
+                f"{path}: malformed metric row ({exc})"
+            ) from exc
+        if obs.n < 1 or obs.std < 0:
+            raise ExtractionError(
+                f"{path}: malformed metric row (n={obs.n}, std={obs.std})"
+            )
+        return obs
 
     def resolve(self, path: str) -> Observation:
         if not path.startswith("metrics:"):
@@ -285,19 +306,7 @@ class MetricsSource(Source):
                 f"{path}: metric {name!r} is ambiguous across targets "
                 f"{sorted(t for t, _ in hits)}; use metrics:<target>:<name>"
             )
-        row = hits[0][1]
-        try:
-            return Observation(
-                path=path,
-                mean=float(row["mean"]),
-                std=float(row.get("std", 0.0)),
-                n=int(row.get("n", 1)),
-                unit=str(row.get("unit", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ExtractionError(
-                f"{path}: malformed metric row ({exc})"
-            ) from exc
+        return self.observation(path, hits[0][1])
 
 
 class CallableSource(Source):
@@ -305,8 +314,7 @@ class CallableSource(Source):
 
     The sampler is invoked as ``fn(path, n)`` and must return at least
     one sample; this is the source the adaptive evaluator re-queries at
-    escalating repeat counts, and the only built-in source whose
-    observations carry raw samples for the nonparametric modes.
+    escalating repeat counts.
     """
 
     def __init__(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 
+from ..analysis.format import layout_table
 from .evaluate import CheckReport, CheckResult
 
 __all__ = ["render_report", "render_report_json"]
@@ -53,20 +54,10 @@ def render_report(report: CheckReport) -> str:
             _band(result),
             note,
         ])
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-
-    def fmt(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-
     lines = [
         f"check suite: {report.suite}"
         + (" (adaptive)" if report.adaptive else ""),
-        fmt(headers),
-        "  ".join("-" * w for w in widths),
-        *[fmt(r) for r in rows],
+        layout_table(headers, rows),
     ]
     counts = (
         f"{len(report.passed)} passed, {len(report.failed)} failed, "

@@ -4,10 +4,10 @@ A *check* pins one addressable study output (an extractor path, see
 :mod:`repro.checks.extract`) to a :class:`Reference` — ReFrame's
 ``(value, lower_thr, upper_thr, unit)`` idiom, thresholds as relative
 fractions — plus a :class:`StatPolicy` choosing how the observation is
-judged against it: a plain interval test, Welch's t, Mann-Whitney, or a
-bootstrap CI, with adaptive repeat counts to a target confidence
-half-width instead of a fixed repeat budget ("MPI Benchmarking
-Revisited").
+judged against it: a plain interval test or Welch's t against the
+reference's own dispersion, with adaptive repeat counts to a target
+confidence half-width instead of a fixed repeat budget ("MPI
+Benchmarking Revisited").
 
 Suites are constructible in Python (:class:`CheckSuite`), loadable from
 a validated dict (:func:`suite_from_dict`) and from TOML/JSON files
@@ -29,7 +29,7 @@ from ..errors import CheckSpecError
 CHECKS_SCHEMA = "repro.checks/v1"
 
 #: the statistical modes the evaluator implements
-MODES = ("interval", "welch", "mannwhitney", "bootstrap")
+MODES = ("interval", "welch")
 
 
 @dataclass(frozen=True)
@@ -134,16 +134,14 @@ def _opt_float(value) -> Optional[float]:
 class StatPolicy:
     """How an observation is judged and how many repeats it may take.
 
-    * ``mode`` — ``interval`` (bounds on the observed mean only),
-      ``welch`` (bounds + Welch's t against the reference dispersion),
-      ``mannwhitney`` (bounds + rank test, needs raw samples),
-      ``bootstrap`` (bootstrap CI of the mean must overlap the band);
-    * ``alpha`` — significance level for the statistical modes;
+    * ``mode`` — ``interval`` (bounds on the observed mean only) or
+      ``welch`` (bounds + Welch's t against the reference dispersion);
+    * ``alpha`` — significance level of the t-test and of the reported
+      confidence half-widths;
     * ``min_repeats`` / ``max_repeats`` — the adaptive-repeat budget;
     * ``ci_rel`` / ``ci_abs`` — target confidence half-width (relative
       to the mean, or absolute in the metric's unit) at which adaptive
-      sampling stops early;
-    * ``bootstrap_resamples`` / ``seed`` — bootstrap determinism knobs.
+      sampling stops early.
     """
 
     mode: str = "interval"
@@ -152,8 +150,6 @@ class StatPolicy:
     max_repeats: int = 100
     ci_rel: float = 0.05
     ci_abs: Optional[float] = None
-    bootstrap_resamples: int = 400
-    seed: int = 20230612
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -175,10 +171,6 @@ class StatPolicy:
             raise CheckSpecError(f"negative ci_rel: {self.ci_rel}")
         if self.ci_abs is not None and self.ci_abs < 0:
             raise CheckSpecError(f"negative ci_abs: {self.ci_abs}")
-        if self.bootstrap_resamples < 1:
-            raise CheckSpecError(
-                f"bootstrap_resamples must be >= 1: {self.bootstrap_resamples}"
-            )
 
     def ci_target(self, mean: float) -> float:
         """The absolute half-width below which sampling may stop."""
@@ -196,16 +188,12 @@ class StatPolicy:
         }
         if self.ci_abs is not None:
             doc["ci_abs"] = self.ci_abs
-        if self.mode == "bootstrap":
-            doc["bootstrap_resamples"] = self.bootstrap_resamples
-            doc["seed"] = self.seed
         return doc
 
     @classmethod
     def from_dict(cls, doc: Mapping, where: str = "") -> "StatPolicy":
         unknown = set(doc) - {
-            "mode", "alpha", "min_repeats", "max_repeats",
-            "ci_rel", "ci_abs", "bootstrap_resamples", "seed",
+            "mode", "alpha", "min_repeats", "max_repeats", "ci_rel", "ci_abs",
         }
         if unknown:
             raise CheckSpecError(
@@ -219,8 +207,6 @@ class StatPolicy:
                 max_repeats=int(doc.get("max_repeats", 100)),
                 ci_rel=float(doc.get("ci_rel", 0.05)),
                 ci_abs=_opt_float(doc.get("ci_abs")),
-                bootstrap_resamples=int(doc.get("bootstrap_resamples", 400)),
-                seed=int(doc.get("seed", 20230612)),
             )
         except CheckSpecError:
             raise
@@ -293,11 +279,6 @@ class CheckSpec:
         if "policy" in doc:
             merged = dict(policy.to_dict())
             merged.update(doc["policy"])
-            # to_dict() of a non-bootstrap default omits the bootstrap
-            # knobs; carry them so a per-check mode switch keeps seeds
-            merged.setdefault("bootstrap_resamples",
-                              policy.bootstrap_resamples)
-            merged.setdefault("seed", policy.seed)
             policy = StatPolicy.from_dict(merged, where)
         better = doc.get("better")
         return cls(

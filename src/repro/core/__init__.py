@@ -13,7 +13,6 @@ __all__, __getattr__ = _lazy_exports(__name__, {
     ".parallel": ("CellOutcome", "CellScheduler", "CellTask", "resolve_jobs"),
     ".resilience": ("DEGRADED_MARK", "Degraded", "ResilienceLog"),
     ".results": ("Statistic",),
-    ".spec": ("ExperimentSpec", "all_experiments", "get_experiment"),
     ".study": ("Study",),
     ".config": ("StudyConfig",),
     ".tables": (

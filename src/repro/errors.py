@@ -123,15 +123,10 @@ class TraceAnalysisError(ReproError, ValueError):
     read back from disk, so it is a :class:`ReproError`."""
 
 
-class BenchDataError(ReproError, ValueError):
-    """A ``repro.bench/v1`` metrics document (a ledgered run's
-    ``metrics.json`` or a committed ``BENCH_*.json``) is malformed or
-    incompatible with the current schema."""
-
-
 class LedgerError(ReproError, ValueError):
     """A run-ledger lookup or maintenance operation failed (unknown or
-    ambiguous run id, empty ledger, unwritable index rewrite).  Write
+    ambiguous run id, empty ledger, unwritable index rewrite, a run
+    without a metrics document or with one under another schema).  Write
     paths of the ledger itself never raise — recording degrades to a
     warning — so this surfaces only from the ``repro runs`` CLI."""
 

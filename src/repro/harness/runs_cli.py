@@ -6,17 +6,21 @@ this module is the query side:
 * ``runs list`` — filterable history table (newest first), with the
   ``—†`` degraded-run footnote discipline of the results tables;
 * ``runs show <run>`` — one run's config, outcome and metrics;
-* ``runs diff <a> <b>`` — config-fingerprint diff plus the Welch-tested
-  metric comparison of :mod:`repro.obs.analyze.baseline` (exit 3 on a
-  significant regression, so CI can gate on history);
+* ``runs diff <a> <b>`` — config-fingerprint diff, then run B's metrics
+  judged by :func:`repro.checks.evaluate.evaluate` against a ``welch``
+  check per gating metric of run A: A's mean ± ``--threshold``, tested
+  at ``--alpha`` against A's std and n (exit 3 on a regression, so CI
+  can gate on history);
 * ``runs trend <metric>`` — a metric's trajectory over ledgered runs as
   a sparkline;
 * ``runs flame <run>`` — text flamegraph of the recorded critical-path
   attribution, with per-span drill-down via ``--cell``;
 * ``runs gc`` — prune history to the newest N runs.
 
-Run ids accept unique prefixes and ``latest``; all errors surface as
-``error: ...`` on stderr with exit 2, mirroring the other harnesses.
+Every metrics document is read through
+:class:`~repro.checks.extract.MetricsSource`.  Run ids accept unique
+prefixes and ``latest``; all errors surface as ``error: ...`` on stderr
+with exit 2, mirroring the other harnesses.
 """
 
 from __future__ import annotations
@@ -27,16 +31,11 @@ import time
 from typing import Optional
 
 from ..analysis.format import layout_table
+from ..checks.extract import ExtractionError, MetricsSource
 from ..core.resilience import DEGRADED_MARK
 from ..errors import LedgerError, ReproError
-from ..obs.analyze import (
-    BenchRun,
-    compare_runs,
-    render_comparison,
-    render_flame,
-    render_run,
-)
-from ..obs.ledger import RunLedger
+from ..obs.analyze.flamegraph import render_flame
+from ..obs.ledger import BENCH_SCHEMA, RunLedger
 
 #: a statistically significant regression between the two diffed runs
 EXIT_REGRESSED = 3
@@ -188,6 +187,44 @@ def _cmd_list(ledger: RunLedger, args) -> int:
     return 0
 
 
+def _metrics_source(run) -> MetricsSource:
+    """A run's metrics document as a source; another schema is refused."""
+    doc = run.metrics
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != BENCH_SCHEMA or not isinstance(doc.get("targets"), dict):
+        raise LedgerError(
+            f"run {run.run_id}: unsupported metrics schema {schema!r} "
+            f"(want {BENCH_SCHEMA})"
+        )
+    return MetricsSource(doc)
+
+
+def _render_metrics(run) -> str:
+    """One row per (target, metric), then a row per degraded target."""
+    rows = []
+    for target, name, row in _metrics_source(run).rows():
+        obs = MetricsSource.observation(f"{target}:{name}", row)
+        value = f"{obs.mean:.6g}" + (f" ±{obs.std:.2g}" if obs.std else "")
+        role = "gate" if row.get("gate", True) else "advisory"
+        rows.append([target, name, value, obs.unit, str(obs.n), role])
+    targets = run.metrics["targets"]
+    rows += [
+        [target, "(degraded)", DEGRADED_MARK, "", "", ""]
+        for target, entry in targets.items() if entry.get("degraded")
+    ]
+    rows.sort(key=lambda r: r[0])  # stable: a target's metrics come first
+    config = run.metrics.get("config", {})
+    header = (
+        f"bench run: {len(targets)} target(s), "
+        f"{config.get('repeats', 1)} repeat(s), seed {config.get('seed', 0)}, "
+        f"faults {config.get('faults', 'none')}"
+    )
+    table = layout_table(
+        ["target", "metric", "value", "unit", "n", "role"], rows
+    )
+    return f"{header}\n{table}"
+
+
 def _cmd_show(ledger: RunLedger, args) -> int:
     run = ledger.load(ledger.resolve(args.run))
     record = run.record or {}
@@ -215,7 +252,7 @@ def _cmd_show(ledger: RunLedger, args) -> int:
             print(f"{key}: {outcome[key]}")
     if run.metrics is not None:
         print()
-        print(render_run(BenchRun.from_json(run.metrics)))
+        print(_render_metrics(run))
     degraded = outcome.get("degraded") or []
     if degraded:
         print()
@@ -230,7 +267,42 @@ def _cmd_show(ledger: RunLedger, args) -> int:
     return 0
 
 
+def _diff_suite(run, threshold: float, alpha: float):
+    """Each gating metric row of ``run`` as a ``welch`` check: its mean
+    ± ``threshold``, tested at ``alpha`` against its std and n.
+
+    Returns the suite and the names of the advisory rows it leaves out.
+    """
+    from ..checks.spec import CheckSpec, CheckSuite, Reference, StatPolicy
+
+    policy = StatPolicy(mode="welch", alpha=alpha)
+    checks, advisory = [], []
+    for target, name, row in _metrics_source(run).rows():
+        key = f"{target}:{name}"
+        if not row.get("gate", True):
+            advisory.append(key)
+            continue
+        base = MetricsSource.observation(key, row)
+        checks.append(CheckSpec(
+            name=key,
+            path=f"metrics:{key}",
+            reference=Reference(
+                base.mean, -threshold, threshold, base.unit,
+                std=base.std, n=base.n,
+            ),
+            policy=policy,
+            better=str(row.get("better", "lower")),
+        ))
+    suite = CheckSuite(
+        name=f"runs diff (welch, alpha {alpha:g})", checks=tuple(checks)
+    )
+    return suite, advisory
+
+
 def _cmd_diff(ledger: RunLedger, args) -> int:
+    from ..checks.evaluate import evaluate
+    from ..checks.report import render_report
+
     run_a = ledger.load(ledger.resolve(args.a))
     run_b = ledger.load(ledger.resolve(args.b))
     for run, token in ((run_a, args.a), (run_b, args.b)):
@@ -238,6 +310,8 @@ def _cmd_diff(ledger: RunLedger, args) -> int:
             raise LedgerError(
                 f"run {run.run_id} (from {token!r}) has no metrics document"
             )
+    suite, advisory = _diff_suite(run_a, args.threshold, args.alpha)
+    current = _metrics_source(run_b)
     fp_a = ((run_a.manifest or {}).get("config") or {}).get("fingerprint")
     fp_b = ((run_b.manifest or {}).get("config") or {}).get("fingerprint")
     print(f"baseline: {run_a.run_id}   current: {run_b.run_id}")
@@ -250,29 +324,28 @@ def _cmd_diff(ledger: RunLedger, args) -> int:
         for key in sorted(set(conf_a) | set(conf_b)):
             if conf_a.get(key) != conf_b.get(key):
                 print(f"  {key}: {conf_a.get(key)!r} -> {conf_b.get(key)!r}")
-    comparison = compare_runs(
-        BenchRun.from_json(run_a.metrics),
-        BenchRun.from_json(run_b.metrics),
-        threshold=args.threshold,
-        alpha=args.alpha,
-    )
+    report = evaluate(suite, current)
     print()
-    print(render_comparison(comparison))
-    return EXIT_REGRESSED if comparison.regressed else 0
+    print(render_report(report))
+    baseline = {check.name for check in suite} | set(advisory)
+    for key in advisory:
+        print(f"not judged: {key} (advisory)")
+    for target, name, _row in current.rows():
+        if f"{target}:{name}" not in baseline:
+            print(f"not judged: {target}:{name} (not in the baseline run)")
+    # an improvement fails its check as "inflated" but does not gate
+    return EXIT_REGRESSED if report.regressions else 0
 
 
 def _metric_points(
     doc: dict, metric: str, target_filter: Optional[str]
 ) -> list[tuple[str, float]]:
     """``(target, mean)`` for every target carrying ``metric``."""
-    points = []
-    for name in sorted(doc.get("targets", {})):
-        if target_filter is not None and name != target_filter:
-            continue
-        stat = doc["targets"][name].get("metrics", {}).get(metric)
-        if stat is not None:
-            points.append((name, float(stat["mean"])))
-    return points
+    return [
+        (target, float(row["mean"]))
+        for target, name, row in MetricsSource(doc).rows()
+        if name == metric and target_filter in (None, target)
+    ]
 
 
 def _cmd_trend(ledger: RunLedger, args) -> int:
@@ -347,7 +420,7 @@ def runs_main(argv=None) -> int:
     }[args.command]
     try:
         return handler(ledger, args)
-    except ReproError as exc:
+    except (ReproError, ExtractionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

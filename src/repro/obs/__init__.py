@@ -5,7 +5,7 @@ The layer has four pieces (see DESIGN.md §5c):
 * :mod:`repro.obs.span` — nested :class:`Span`/:class:`Tracer` in both
   simulated and host wall-time over a bounded ring buffer;
 * :mod:`repro.obs.metrics` — namespaced :class:`Counter` /
-  :class:`Gauge` / :class:`Histogram` instruments with no-op stubs;
+  :class:`Histogram` instruments with no-op stubs;
 * :mod:`repro.obs.profiler` — :class:`SimProfiler`, the engine hook
   attributing events and host time per subsystem;
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON, metrics JSON
@@ -44,7 +44,6 @@ __all__, __getattr__ = _lazy_exports(__name__, {
     ),
     ".metrics": (
         "Counter",
-        "Gauge",
         "Histogram",
         "MetricsRegistry",
         "NullMetrics",
@@ -59,7 +58,6 @@ __all__, __getattr__ = _lazy_exports(__name__, {
         "activate",
         "observability",
         "count",
-        "observe",
     ),
     ".export": (
         "chrome_trace",

@@ -2,60 +2,29 @@
 
 * :mod:`repro.obs.analyze.critical_path` — exclusive per-phase latency
   attribution of each benchmark cell window;
-* :mod:`repro.obs.analyze.baseline` — the ``repro.bench/v1`` metrics
-  schema and its Welch-tested comparator (``repro runs diff``);
 * :mod:`repro.obs.analyze.flamegraph` — text icicle rendering of the
   attribution (the ``repro runs flame`` drill-down);
-* :mod:`repro.obs.analyze.report` — table rendering of metrics
-  documents, comparisons and attributions.
+* :mod:`repro.obs.analyze.report` — table rendering of attributions.
+
+A name is imported from its module on first access, so loading the
+package loads none of them.  A ``repro.bench/v1`` metrics document is
+read by :class:`repro.checks.extract.MetricsSource`, and ``repro runs
+diff`` judges two of them through :func:`repro.checks.evaluate.evaluate`.
 """
 
-from .baseline import (
-    BENCH_SCHEMA,
-    BenchComparison,
-    BenchRun,
-    DEFAULT_ALPHA,
-    DEFAULT_THRESHOLD,
-    MetricComparison,
-    MetricStat,
-    TargetRecord,
-    compare_metric,
-    compare_runs,
-)
-from .critical_path import (
-    OVERHEAD_PHASE,
-    PhaseAttribution,
-    ReadSpan,
-    Segment,
-    attribute_cells,
-    attribute_window,
-    attributions_from_tracer,
-    phase_of,
-)
-from .flamegraph import render_flame
-from .report import render_attribution, render_comparison, render_run
+from ... import _lazy_exports
 
-__all__ = [
-    "ReadSpan",
-    "PhaseAttribution",
-    "Segment",
-    "OVERHEAD_PHASE",
-    "phase_of",
-    "attribute_window",
-    "attribute_cells",
-    "attributions_from_tracer",
-    "render_flame",
-    "BENCH_SCHEMA",
-    "DEFAULT_THRESHOLD",
-    "DEFAULT_ALPHA",
-    "MetricStat",
-    "TargetRecord",
-    "BenchRun",
-    "MetricComparison",
-    "BenchComparison",
-    "compare_metric",
-    "compare_runs",
-    "render_run",
-    "render_comparison",
-    "render_attribution",
-]
+__all__, __getattr__ = _lazy_exports(__name__, {
+    ".critical_path": (
+        "ReadSpan",
+        "PhaseAttribution",
+        "Segment",
+        "OVERHEAD_PHASE",
+        "phase_of",
+        "attribute_window",
+        "attribute_cells",
+        "attributions_from_tracer",
+    ),
+    ".flamegraph": ("render_flame",),
+    ".report": ("render_attribution",),
+})

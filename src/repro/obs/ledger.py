@@ -9,8 +9,9 @@ records, under a content-addressed run id in ``.repro/runs/<run-id>/``:
 * ``metrics.json`` — a ``repro.bench/v1`` document holding the run's
   comparable numbers, the per-cell simulated statistics of the study
   (:func:`study_metrics_doc`) — the schema of the committed
-  ``BENCH_*.json`` files, so ``runs diff``/``trend`` reuse the Welch
-  machinery of :mod:`repro.obs.analyze.baseline` unchanged;
+  ``BENCH_*.json`` files.  :class:`~repro.checks.extract.MetricsSource`
+  reads it for ``runs show``/``trend``, and ``runs diff`` judges one
+  against another through the check evaluator;
 * ``outcome.json`` — how the run ended: exit code, ``ok`` /
   ``error`` / ``interrupted``, degraded-cell count, wall seconds,
   jobs, cache/event-log traffic;
@@ -52,6 +53,8 @@ from .jsonl import append_line, open_append, read_jsonl, rewrite_lines
 #: schema tag stamped on every index line and outcome document; bump on
 #: any layout change so consumers can reject foreign lines
 LEDGER_SCHEMA = "repro.ledger/v1"
+#: schema tag of a run's ``metrics.json`` (and of the ``BENCH_*.json`` files)
+BENCH_SCHEMA = "repro.bench/v1"
 
 #: environment override for the ledger root (tests point it at a
 #: tmpdir so default-on recording never touches a checkout)
@@ -308,8 +311,8 @@ def study_metrics_doc(study) -> dict:
 
     The flattened per-cell statistics (:meth:`~repro.core.study.Study
     .outcome_summary`) become the metrics of a single ``study`` target,
-    so two ledgered CLI runs diff through the Welch-tested comparator of
-    :mod:`repro.obs.analyze.baseline`.  ``study`` may also be the config
+    so two ledgered CLI runs diff as a ``welch`` check suite (see
+    :mod:`repro.harness.runs_cli`).  ``study`` may also be the config
     of a run that read no cell (:func:`~repro.core.config.study_state`).
     """
     from ..core.config import study_state
@@ -322,7 +325,7 @@ def study_metrics_doc(study) -> dict:
     if resilience.degraded_count:
         target["degraded"] = True
     return {
-        "schema": "repro.bench/v1",
+        "schema": BENCH_SCHEMA,
         "config": {
             "repeats": config.runs,
             "seed": config.seed,

@@ -1,4 +1,4 @@
-"""Namespaced metrics instruments: counters, gauges, histograms.
+"""Namespaced metrics instruments: counters and histograms.
 
 Instrument names follow the ``subsystem.verb.noun`` convention
 (``mpisim.send.eager``, ``gpurt.kernel.queue_wait_us``): lowercase
@@ -62,28 +62,6 @@ class Counter:
 
     def snapshot(self) -> dict:
         return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """A value that can go up and down (queue depth, bytes in flight)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
-    def snapshot(self) -> dict:
-        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -224,7 +202,7 @@ class MetricsRegistry:
     enabled = True
 
     def __init__(self, record_values: bool = False) -> None:
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._instruments: dict[str, Counter | Histogram] = {}
         self._record_values = record_values
 
     def _get(self, name: str, cls, *args):
@@ -243,9 +221,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
 
     def histogram(
         self, name: str, bounds: Iterable[float] = DEFAULT_BUCKETS
@@ -272,7 +247,7 @@ class MetricsRegistry:
     def dump_state(self) -> dict:
         """A picklable, mergeable image of every instrument.
 
-        Counters and gauges travel as their value; histograms travel as
+        Counters travel as their value; histograms travel as
         their bounds plus the raw observation list (requires a registry
         built with ``record_values=True`` — a populated histogram that
         never recorded cannot be merged losslessly, so dumping one is
@@ -282,8 +257,6 @@ class MetricsRegistry:
         for name, instrument in self._instruments.items():
             if isinstance(instrument, Counter):
                 state[name] = {"kind": "counter", "value": instrument.value}
-            elif isinstance(instrument, Gauge):
-                state[name] = {"kind": "gauge", "value": instrument.value}
             else:
                 if instrument.values is None and instrument.count:
                     raise ObservabilityError(
@@ -302,14 +275,12 @@ class MetricsRegistry:
     def merge_state(self, state: dict) -> None:
         """Fold one :meth:`dump_state` image into this registry.
 
-        Counter deltas add (integer increments, so addition is exact),
-        gauges adopt the incoming final value (last merge wins — the
-        same "last mutation wins" a serial run exhibits when outcomes
-        are merged in execution order), histogram observations fold in
-        through :meth:`Histogram.observe_many` — one sort per merge
-        instead of a bisect per value — whose float totals still
-        accumulate in original observation order, so bucket counts
-        *and* totals match a serial registry bit for bit.
+        Counter deltas add (integer increments, so addition is exact);
+        histogram observations fold in through
+        :meth:`Histogram.observe_many` — one sort per merge instead of a
+        bisect per value — whose float totals still accumulate in
+        original observation order, so bucket counts *and* totals match
+        a serial registry bit for bit.
         """
         for name, entry in state.items():
             kind = entry["kind"]
@@ -317,8 +288,6 @@ class MetricsRegistry:
                 counter = self.counter(name)
                 if entry["value"]:
                     counter.inc(entry["value"])
-            elif kind == "gauge":
-                self.gauge(name).set(entry["value"])
             elif kind == "histogram":
                 histogram = self.histogram(name, bounds=entry["bounds"])
                 histogram.observe_many(entry["values"])
@@ -340,12 +309,6 @@ class _NullInstrument:
     def inc(self, amount: int | float = 1) -> None:
         pass
 
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
@@ -365,9 +328,6 @@ class NullMetrics:
     enabled = False
 
     def counter(self, name: str) -> _NullInstrument:
-        return NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
         return NULL_INSTRUMENT
 
     def histogram(self, name: str, bounds=DEFAULT_BUCKETS) -> _NullInstrument:

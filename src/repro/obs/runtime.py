@@ -77,7 +77,7 @@ class ObsContext:
         recorded since — its kept-plus-dropped record count or its
         open-span stack differs.
         """
-        from .analyze import attributions_from_tracer
+        from .analyze.critical_path import attributions_from_tracer
 
         tracer = self.tracer
         stamp = (len(tracer) + tracer.dropped, tracer.open_spans())
@@ -99,26 +99,11 @@ def current() -> ObsContext:
     return _current
 
 
-def tracer():
-    return _current.tracer
-
-
-def metrics():
-    return _current.metrics
-
-
 def count(name: str, amount: int | float = 1) -> None:
     """Hot-path counter increment; a no-op when observability is off."""
     ctx = _current
     if ctx.enabled:
         ctx.metrics.counter(name).inc(amount)
-
-
-def observe(name: str, value: float) -> None:
-    """Hot-path histogram observation; a no-op when observability is off."""
-    ctx = _current
-    if ctx.enabled:
-        ctx.metrics.histogram(name).observe(value)
 
 
 def activate(ctx: ObsContext) -> ObsContext:

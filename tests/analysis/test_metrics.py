@@ -246,87 +246,3 @@ class TestCIHalfWidth:
             ci_half_width(1.0, 0)
         with pytest.raises(ValueError):
             ci_half_width(-1.0, 5)
-
-
-class TestMannWhitney:
-    def test_clear_shift_is_significant(self):
-        from repro.analysis.metrics import mann_whitney_u
-
-        xs = [10.0 + 0.1 * i for i in range(12)]
-        ys = [20.0 + 0.1 * i for i in range(12)]
-        result = mann_whitney_u(xs, ys)
-        assert result.significant(0.01)
-        assert result.p_value < 1e-4
-
-    def test_identical_samples_not_significant(self):
-        from repro.analysis.metrics import mann_whitney_u
-
-        xs = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert not mann_whitney_u(xs, list(xs)).significant(0.05)
-
-    def test_all_tied_degenerate(self):
-        from repro.analysis.metrics import mann_whitney_u
-
-        result = mann_whitney_u([3.0] * 6, [3.0] * 6)
-        assert result.p_value == 1.0
-        assert result.z == 0.0
-
-    def test_tie_midranks_symmetry(self):
-        from repro.analysis.metrics import mann_whitney_u
-
-        # swapping the samples flips the z sign, same p
-        a, b = [1.0, 2.0, 2.0, 3.0], [2.0, 3.0, 3.0, 4.0]
-        fwd, rev = mann_whitney_u(a, b), mann_whitney_u(b, a)
-        assert fwd.p_value == pytest.approx(rev.p_value)
-        assert fwd.z == pytest.approx(-rev.z)
-
-    def test_empty_sample_rejected(self):
-        from repro.analysis.metrics import mann_whitney_u
-
-        with pytest.raises(ValueError):
-            mann_whitney_u([], [1.0])
-
-
-class TestBootstrapCI:
-    def test_seeded_determinism(self):
-        from repro.analysis.metrics import bootstrap_mean_ci
-
-        samples = [1.0, 1.2, 0.9, 1.1, 1.05, 0.95]
-        a = bootstrap_mean_ci(samples, seed=7)
-        b = bootstrap_mean_ci(samples, seed=7)
-        assert (a.low, a.high) == (b.low, b.high)
-
-    def test_different_seed_different_draws(self):
-        from repro.analysis.metrics import bootstrap_mean_ci
-
-        samples = [1.0, 1.2, 0.9, 1.1, 1.05, 0.95]
-        a = bootstrap_mean_ci(samples, seed=1)
-        b = bootstrap_mean_ci(samples, seed=2)
-        assert (a.low, a.high) != (b.low, b.high)
-
-    def test_interval_brackets_the_mean(self):
-        from repro.analysis.metrics import bootstrap_mean_ci
-
-        samples = [10.0, 11.0, 9.5, 10.5, 10.2, 9.8, 10.1, 9.9]
-        ci = bootstrap_mean_ci(samples, resamples=500, seed=3)
-        mean = sum(samples) / len(samples)
-        assert ci.low <= mean <= ci.high
-        assert ci.half_width == pytest.approx((ci.high - ci.low) / 2)
-
-    def test_degenerate_collapses_to_point(self):
-        from repro.analysis.metrics import bootstrap_mean_ci
-
-        ci = bootstrap_mean_ci([4.2], seed=0)
-        assert ci.low == ci.high == 4.2
-        ci = bootstrap_mean_ci([1.0, 1.0, 1.0], seed=0)
-        assert ci.low == ci.high == 1.0
-
-    def test_rejects_bad_inputs(self):
-        from repro.analysis.metrics import bootstrap_mean_ci
-
-        with pytest.raises(ValueError):
-            bootstrap_mean_ci([])
-        with pytest.raises(ValueError):
-            bootstrap_mean_ci([1.0], alpha=1.5)
-        with pytest.raises(ValueError):
-            bootstrap_mean_ci([1.0], resamples=0)

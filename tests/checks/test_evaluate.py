@@ -9,7 +9,6 @@ from repro.checks.evaluate import (
     EXIT_OK,
     EXIT_REGRESSION,
     adaptive_observe,
-    classify_delta,
     evaluate,
 )
 from repro.checks.extract import CallableSource, MetricsSource, TableSource
@@ -150,63 +149,6 @@ class TestWelchMode:
         assert "welch unavailable" in report.results[0].reason
 
 
-class TestNonparametricModes:
-    def test_mannwhitney_needs_samples(self):
-        suite = one_check_suite(
-            Reference(10.0, -0.05, 0.05),
-            policy=StatPolicy(mode="mannwhitney"),
-        )
-        report = evaluate(suite, metric_source(11.0, std=0.1, n=5))
-        (result,) = report.skipped
-        assert "raw samples" in result.reason
-
-    def test_mannwhitney_consistent_shift_fails(self):
-        samples = [11.0, 11.1, 10.9, 11.2, 11.05, 10.95]
-        src = CallableSource(lambda p, n: samples, default_n=len(samples))
-        suite = one_check_suite(
-            Reference(10.0, -0.05, 0.05, std=0.1, n=100),
-            policy=StatPolicy(mode="mannwhitney", alpha=0.05),
-            path="cell",
-        )
-        report = evaluate(suite, src)
-        assert report.exit_code == EXIT_REGRESSION
-
-    def test_bootstrap_straddling_ci_passes(self):
-        # mean is out of band but the CI overlaps it: noise, not a call
-        samples = [9.0, 12.0, 10.0, 11.5, 8.5, 12.5]
-        src = CallableSource(lambda p, n: samples, default_n=len(samples))
-        suite = one_check_suite(
-            Reference(10.0, -0.05, 0.05),
-            policy=StatPolicy(mode="bootstrap", alpha=0.05),
-            path="cell",
-        )
-        report = evaluate(suite, src)
-        assert report.exit_code == EXIT_OK
-
-    def test_bootstrap_clear_shift_fails(self):
-        samples = [12.0, 12.1, 11.9, 12.2, 12.05, 11.95]
-        src = CallableSource(lambda p, n: samples, default_n=len(samples))
-        suite = one_check_suite(
-            Reference(10.0, -0.05, 0.05),
-            policy=StatPolicy(mode="bootstrap", alpha=0.05),
-            path="cell",
-        )
-        report = evaluate(suite, src)
-        assert report.exit_code == EXIT_REGRESSION
-
-    def test_bootstrap_is_seeded_deterministic(self):
-        samples = [9.0, 12.0, 10.0, 11.5, 8.5, 12.5]
-        src = CallableSource(lambda p, n: samples, default_n=len(samples))
-        suite = one_check_suite(
-            Reference(10.0, -0.05, 0.05),
-            policy=StatPolicy(mode="bootstrap", alpha=0.05),
-            path="cell",
-        )
-        first = render_report_json(evaluate(suite, src))
-        second = render_report_json(evaluate(suite, src))
-        assert first == second
-
-
 class TestAdaptive:
     def policy(self, **kw):
         defaults = dict(min_repeats=3, max_repeats=64, ci_rel=0.05)
@@ -260,33 +202,78 @@ class TestAdaptive:
         assert "adaptive: 3 repeats" in render_report(report)
 
 
-class TestClassifyDelta:
+def delta_verdict(base, current, better="lower", threshold=0.02,
+                  alpha=0.01):
+    """The verdict of the check ``runs diff`` builds for one metric row:
+    the baseline's mean ± ``threshold`` with its std and n, in welch
+    mode, judged against the current ``(mean, std, n)``."""
+    mean, std, n = base
+    suite = one_check_suite(
+        Reference(mean, -threshold, threshold, std=std, n=n),
+        policy=StatPolicy(mode="welch", alpha=alpha),
+        better=better,
+    )
+    (result,) = evaluate(suite, metric_source(*current)).results
+    return {
+        "": "unchanged", "regression": "regressed", "inflated": "improved",
+    }[result.failure_kind]
+
+
+class TestDeltaVerdicts:
+    def test_identical_deterministic_unchanged(self):
+        assert delta_verdict((5.0, 0.0, 3), (5.0, 0.0, 3)) == "unchanged"
+
+    def test_deterministic_regression_certain(self):
+        assert delta_verdict((5.0, 0.0, 3), (6.0, 0.0, 3)) == "regressed"
+
+    def test_deterministic_improvement(self):
+        assert delta_verdict((5.0, 0.0, 3), (4.0, 0.0, 3)) == "improved"
+
+    def test_higher_is_better_flips_direction(self):
+        base = (100.0, 0.0, 3)
+        assert delta_verdict(
+            base, (50.0, 0.0, 3), better="higher"
+        ) == "regressed"
+        assert delta_verdict(
+            base, (200.0, 0.0, 3), better="higher"
+        ) == "improved"
+
+    def test_small_delta_below_threshold_is_noise(self):
+        assert delta_verdict((100.0, 0.0, 3), (101.0, 0.0, 3)) == "unchanged"
+
+    def test_noisy_delta_needs_significance(self):
+        # 10% shift but huge variance: Welch must hold it back
+        assert delta_verdict((10.0, 8.0, 3), (11.0, 8.0, 3)) == "unchanged"
+
     def test_change_requires_both_tests(self):
         # large but noisy: unchanged
-        noisy = classify_delta(10.0, 5.0, 3, 12.0, 5.0, 3)
-        assert noisy.verdict == "unchanged"
+        assert delta_verdict((10.0, 5.0, 3), (12.0, 5.0, 3)) == "unchanged"
         # significant but tiny: unchanged
-        tiny = classify_delta(10.0, 0.001, 50, 10.01, 0.001, 50)
-        assert tiny.verdict == "unchanged"
+        assert delta_verdict(
+            (10.0, 0.001, 50), (10.01, 0.001, 50)
+        ) == "unchanged"
         # large and significant: direction decides
-        up = classify_delta(10.0, 0.01, 50, 11.0, 0.01, 50)
-        assert up.verdict == "regressed"
-        down = classify_delta(10.0, 0.01, 50, 9.0, 0.01, 50)
-        assert down.verdict == "improved"
-        bw = classify_delta(10.0, 0.01, 50, 9.0, 0.01, 50, better="higher")
-        assert bw.verdict == "regressed"
+        base = (10.0, 0.01, 50)
+        assert delta_verdict(base, (11.0, 0.01, 50)) == "regressed"
+        assert delta_verdict(base, (9.0, 0.01, 50)) == "improved"
+        assert delta_verdict(
+            base, (9.0, 0.01, 50), better="higher"
+        ) == "regressed"
 
-    def test_compare_metric_delegates_here(self):
-        """The bench comparator and classify_delta can never disagree."""
-        from repro.obs.analyze.baseline import MetricStat, compare_metric
+    def test_single_sample_baseline_lets_welch_decide(self):
+        # the baseline's std and n are known even at n = 1, so the
+        # t-test runs on the current run's dispersion alone
+        base = (10.0, 0.0, 1)
+        assert delta_verdict(base, (11.0, 2.0, 5)) == "unchanged"
+        assert delta_verdict(base, (11.0, 0.1, 5)) == "regressed"
 
-        base = MetricStat(mean=10.0, std=0.01, n=50, better="lower")
-        cur = MetricStat(mean=11.0, std=0.01, n=50, better="lower")
-        row = compare_metric("t", "m", base, cur)
-        delta = classify_delta(10.0, 0.01, 50, 11.0, 0.01, 50)
-        assert row.verdict == delta.verdict == "regressed"
-        assert row.rel_change == delta.rel_change
-        assert row.p_value == delta.p_value
+    def test_band_edge_is_inclusive(self):
+        # deterministic on both sides, so any change off the band is
+        # significant; exactly on the edge still passes
+        edge = 10.0 + 0.02 * 10.0
+        assert delta_verdict((10.0, 0.0, 5), (edge, 0.0, 5)) == "unchanged"
+        beyond = math.nextafter(edge, math.inf)
+        assert delta_verdict((10.0, 0.0, 5), (beyond, 0.0, 5)) == "regressed"
 
 
 class TestComparisonGate:

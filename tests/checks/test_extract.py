@@ -177,13 +177,29 @@ class TestMetricsSource:
         with pytest.raises(ExtractionError, match="malformed"):
             src.resolve("metrics:bad")
 
+    def test_invalid_stat_fields_rejected(self):
+        for row in ({"mean": 1.0, "n": 0}, {"mean": 1.0, "std": -0.1}):
+            with pytest.raises(ExtractionError, match="malformed"):
+                MetricsSource({"bad": row}).resolve("metrics:bad")
+
+    def test_rows_walk_targets_then_names(self):
+        rows = list(MetricsSource(self.DOC).rows())
+        assert [(target, name) for target, name, _row in rows] == [
+            ("osu", "sim.latency_us"), ("osu", "wall_seconds"),
+            ("sawtooth", "wall_seconds"),
+        ]
+        assert rows[0][2] is self.DOC["targets"]["osu"]["metrics"][
+            "sim.latency_us"
+        ]
+        flat = MetricsSource({"sim.lat": {"mean": 2.0}})
+        assert [(t, n) for t, n, _r in flat.rows()] == [("", "sim.lat")]
+
 
 class TestCallableSource:
     def test_builds_observation_with_samples(self):
         src = CallableSource(lambda path, n: [1.0, 2.0, 3.0][:n], unit="us")
         obs = src.resolve_n("any.path", 3)
-        assert obs.samples == (1.0, 2.0, 3.0)
-        assert obs.mean == pytest.approx(2.0)
+        assert (obs.mean, obs.std, obs.n) == (2.0, 1.0, 3)
         assert obs.unit == "us"
 
     def test_sampler_failure_degrades(self):

@@ -110,8 +110,8 @@ class TestStatPolicy:
         assert StatPolicy(ci_abs=0.5).ci_target(200.0) == 0.5
 
     def test_roundtrip(self):
-        p = StatPolicy(mode="bootstrap", alpha=0.05, min_repeats=5,
-                       max_repeats=50, ci_rel=0.02, seed=42)
+        p = StatPolicy(mode="welch", alpha=0.05, min_repeats=5,
+                       max_repeats=50, ci_rel=0.02, ci_abs=0.1)
         assert StatPolicy.from_dict(p.to_dict()) == p
 
     def test_unknown_keys_rejected(self):

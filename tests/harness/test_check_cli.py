@@ -8,6 +8,7 @@ usage/spec errors, plus the ``--json``/``--only``/``--metrics``/
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +116,21 @@ class TestErrors:
         code = check_main(["--metrics", str(tmp_path / "nope.json")])
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy, message", [
+        ({"mode": "mannwhitney"}, "unknown check mode 'mannwhitney'"),
+        ({"mode": "welch", "bootstrap_resamples": 400},
+         "unknown policy key(s) ['bootstrap_resamples']"),
+    ])
+    def test_removed_mode_or_key_exits_two(self, tmp_path, capsys, policy,
+                                           message):
+        path = tmp_path / "spec.json"
+        doc = json.loads(Path(write_spec(path, value=5.0)).read_text())
+        doc["checks"][0]["policy"] = policy
+        path.write_text(json.dumps(doc))
+        metrics = write_metrics(tmp_path / "m.json", 5.0)
+        assert check_main(["--spec", str(path), "--metrics", metrics]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestAdaptive:

@@ -189,7 +189,7 @@ def test_package_runs_without_networkx(tmp_path):
 #: the targets that read no benchmark cell and build no Study
 STATIC_TARGETS = [
     "table1", "table2", "table3", "table8", "table9",
-    "figure1", "figure2", "figure3",
+    "figure1", "figure2", "figure3", "internode",
 ]
 
 #: blocks numpy, runs every static target and ``runs list`` with the
@@ -281,8 +281,9 @@ CHECK_ONLY_MODULES = [
 
 #: runs ``all`` (ledger on) and ``check``, checks that neither loaded an
 #: uncalled module, that ``all`` loaded none of ``check``'s, and that
-#: ``--metrics-out``/``--trace-out`` leave the profiler unloaded; then
-#: that each still loads where it is used
+#: ``--metrics-out``/``--trace-out`` leave the profiler unloaded and load
+#: ``critical_path`` as their one ``obs.analyze`` module; then that each
+#: still loads where it is used
 LOADS_WHAT_IT_CALLS = f"""
 import sys
 from repro.harness.cli import main
@@ -297,6 +298,8 @@ argv = ["table4", "--runs", "2", "--metrics-out", "m.json",
         "--trace-out", "t.json"]
 assert main(argv) == 0
 assert "repro.obs.profiler" not in sys.modules
+analyze = [m for m in sys.modules if m.startswith("repro.obs.analyze.")]
+assert analyze == ["repro.obs.analyze.critical_path"], analyze
 argv = ["table5", "--runs", "2", "--profile", "--events-out", sys.argv[1]]
 assert main(argv) == 0
 assert "repro.obs.profiler" in sys.modules

@@ -1,10 +1,11 @@
 """``repro runs``: cross-run analytics CLI over the ledger.
 
 Covers the full subcommand family against a real recorded history:
-list filtering and the ``—†`` footnote discipline, show, the
-diff-against-self zero-delta contract, the golden injected-regression
-fixture (exit 3), trend over ledger runs, flame
-drill-down, and gc — plus the ``python -m repro runs`` dispatch.
+list filtering and the ``—†`` footnote discipline, show and its metrics
+block, diff as a welch check suite (the against-self zero-delta
+contract, the golden injected-regression fixture with exit 3, skipped
+and unjudged metrics), trend over ledger runs, flame drill-down, and
+gc — plus the ``python -m repro runs`` dispatch.
 """
 
 import copy
@@ -97,6 +98,31 @@ class TestList:
         assert "skipped 1 unreadable" in capsys.readouterr().err
 
 
+def _bench_doc(**targets):
+    """A ``repro.bench/v1`` document over ``{target: metrics}``."""
+    return {
+        "schema": "repro.bench/v1",
+        "config": {"repeats": 3, "seed": 7, "faults": "none"},
+        "targets": {
+            name: {"metrics": metrics} for name, metrics in targets.items()
+        },
+    }
+
+
+def _row(mean, std=0.0, n=3, unit="us", gate=True):
+    return {"mean": mean, "std": std, "n": n, "unit": unit,
+            "better": "lower", "gate": gate}
+
+
+def _record(history, metrics, kind="bench", started=9.0):
+    return history["ledger"].record(
+        kind=kind, targets=sorted(metrics.get("targets", ())),
+        metrics=metrics,
+        outcome={"outcome": "ok", "exit_code": 0,
+                 "started": started, "finished": started + 1},
+    ).run_id
+
+
 class TestShow:
     def test_show_renders_config_and_metrics(self, history, capsys):
         assert _runs(["show", history["first"]], history) == 0
@@ -124,6 +150,53 @@ class TestShow:
         out = capsys.readouterr().out
         assert "config: seed=7 runs=— jobs=1 faults=none" in out
 
+    def test_metrics_block_marks_advisory_and_degraded(self, history,
+                                                       capsys):
+        doc = _bench_doc(
+            t={"sim.x_us": _row(1.0),
+               "wall_seconds": _row(0.5, std=0.1, unit="s", gate=False)},
+            a={},
+        )
+        doc["targets"]["t"]["degraded"] = True
+        doc["targets"]["a"]["degraded"] = True
+        assert _runs(["show", _record(history, doc)], history) == 0
+        block = capsys.readouterr().out.split("\n\n")[1]
+        assert block == (
+            "bench run: 2 target(s), 3 repeat(s), seed 7, faults none\n"
+            "target  metric        value     unit  n  role\n"
+            "------  ------------  --------  ----  -  --------\n"
+            f"a       (degraded)    {DEGRADED_MARK}\n"
+            "t       sim.x_us      1         us    3  gate\n"
+            "t       wall_seconds  0.5 ±0.1  s     3  advisory\n"
+            f"t       (degraded)    {DEGRADED_MARK}\n"
+        )
+
+    def test_foreign_metrics_schema_exits_2(self, history, capsys):
+        doc = {**_bench_doc(t={"sim.x_us": _row(1.0)}),
+               "schema": "repro.bench/v0"}
+        assert _runs(["show", _record(history, doc)], history) == 2
+        assert "unsupported metrics schema 'repro.bench/v0'" in \
+            capsys.readouterr().err
+
+    def test_malformed_metric_row_exits_2(self, history, capsys):
+        bad = _record(history, _bench_doc(t={"sim.x_us": {"mean": "x"}}))
+        for argv in (["show", bad], ["diff", bad, history["first"]]):
+            assert _runs(argv, history) == 2
+            assert "t:sim.x_us: malformed metric row" in \
+                capsys.readouterr().err
+
+
+def _verdicts(out: str) -> dict:
+    """``{check: (status, rest of the row)}`` from a rendered diff."""
+    table = out.split("check suite: ", 1)[1].splitlines()[3:]
+    rows = {}
+    for line in table:
+        if line.startswith(("OK:", "REGRESSION:", "INFLATED:")):
+            break
+        name, status, *rest = line.split()
+        rows[name] = (status, " ".join(rest))
+    return rows
+
 
 class TestDiff:
     def test_identical_runs_report_zero_deltas(self, history, capsys):
@@ -131,14 +204,69 @@ class TestDiff:
         out = capsys.readouterr().out
         assert code == 0
         assert "config fingerprints identical" in out
-        assert "no regressions" in out
-        assert "regressed" not in out.replace("no regressions", "")
+        gating = len(history["ledger"].load(history["first"])
+                     .metrics["targets"]["study"]["metrics"])
+        assert f"OK: {gating} passed, 0 failed, 0 skipped" in out
+        assert "not judged" not in out
 
     def test_injected_regression_exits_3(self, history, capsys):
         code = _runs(["diff", history["first"], history["injected"]], history)
         out = capsys.readouterr().out
         assert code == EXIT_REGRESSED == 3
-        assert history["victim"] in out
+        status, note = _verdicts(out)[f"study:{history['victim']}"]
+        assert status == "FAIL" and "regression: mean" in note
+        assert "REGRESSION: " in out
+
+    def test_improvement_only_exits_0(self, history, capsys):
+        better = copy.deepcopy(
+            history["ledger"].load(history["first"]).metrics
+        )
+        better["targets"]["study"]["metrics"][history["victim"]]["mean"] /= 2
+        improved = _record(history, better, kind="cli")
+        assert _runs(["diff", history["first"], improved], history) == 0
+        out = capsys.readouterr().out
+        status, note = _verdicts(out)[f"study:{history['victim']}"]
+        assert status == "FAIL" and "inflated: mean" in note
+        assert "INFLATED: " in out
+
+    def test_metric_missing_from_current_run_skips(self, history, capsys):
+        fewer = copy.deepcopy(history["ledger"].load(history["first"]).metrics)
+        del fewer["targets"]["study"]["metrics"][history["victim"]]
+        current = _record(history, fewer, kind="cli")
+        assert _runs(["diff", history["first"], current], history) == 0
+        verdicts = _verdicts(capsys.readouterr().out)
+        status, note = verdicts[f"study:{history['victim']}"]
+        assert status == "skip" and f"no metric {history['victim']!r}" in note
+        assert [s for s, _n in verdicts.values()].count("ok") == \
+            len(verdicts) - 1
+        # the other way round, the metric is named but not judged
+        assert _runs(["diff", current, history["first"]], history) == 0
+        assert (
+            f"not judged: study:{history['victim']} (not in the baseline run)"
+        ) in capsys.readouterr().out
+
+    def test_bench_pair_leaves_advisory_rows_unjudged(self, history, capsys):
+        rows = {"sim.x_us": _row(1.0),
+                "wall_seconds": _row(0.5, std=0.01, unit="s", gate=False)}
+        base = _record(history, _bench_doc(t=rows))
+        slower = copy.deepcopy(rows)
+        slower["wall_seconds"]["mean"] = 5.0
+        current = _record(history, _bench_doc(t=slower), started=11.0)
+        assert _runs(["diff", base, current], history) == 0
+        out = capsys.readouterr().out
+        assert list(_verdicts(out)) == ["t:sim.x_us"]
+        assert "OK: 1 passed, 0 failed, 0 skipped" in out
+        assert out.rstrip().endswith("not judged: t:wall_seconds (advisory)")
+
+    @pytest.mark.parametrize("flag", [
+        ["--threshold", "-0.1"], ["--alpha", "1.5"], ["--alpha", "0"],
+    ])
+    def test_bad_threshold_or_alpha_exits_2(self, history, capsys, flag):
+        argv = ["diff", history["first"], history["second"], *flag]
+        assert _runs(argv, history) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_run_without_metrics_exits_2(self, history, capsys):
         bare = history["ledger"].record(

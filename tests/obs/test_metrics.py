@@ -35,18 +35,11 @@ class TestCounterGauge:
         with pytest.raises(ObservabilityError, match="cannot decrease"):
             reg.counter("mpisim.send.eager").inc(-1)
 
-    def test_gauge_moves_both_ways(self):
-        g = MetricsRegistry().gauge("netsim.queue.depth")
-        g.set(10.0)
-        g.dec(3)
-        g.inc(1)
-        assert g.value == 8.0
-
     def test_type_conflict_raises(self):
         reg = MetricsRegistry()
         reg.counter("mpisim.send.eager")
         with pytest.raises(ObservabilityError, match="already registered"):
-            reg.gauge("mpisim.send.eager")
+            reg.histogram("mpisim.send.eager")
 
 
 class TestHistogramEdges:
@@ -210,13 +203,13 @@ class TestStateMerge:
 
         reg = MetricsRegistry(record_values=True)
         reg.counter("a.b.c").inc()
-        reg.gauge("d.e.f").set(2.5)
+        reg.counter("d.e.f").inc(2)
         reg.histogram("g.h.i", bounds=(1.0,)).observe(0.5)
         state = pickle.loads(pickle.dumps(reg.dump_state()))
         parent = MetricsRegistry()
         parent.merge_state(state)
         assert parent.counter("a.b.c").value == 1
-        assert parent.gauge("d.e.f").value == 2.5
+        assert parent.counter("d.e.f").value == 2
         assert parent.histogram("g.h.i").count == 1
 
     def test_unknown_kind_rejected(self):

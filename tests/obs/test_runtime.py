@@ -15,7 +15,6 @@ class TestDefaultContext:
 
     def test_hot_path_helpers_are_noops_when_disabled(self):
         obs.count("mpisim.send.eager", 5)
-        obs.observe("gpurt.kernel.queue_wait_us", 1.0)
         assert len(NULL_TRACER) == 0
 
 
