@@ -225,6 +225,28 @@ def test_static_targets_run_without_numpy(tmp_path):
     assert all(r["run_id"] in proc.stdout for r in records)
 
 
+#: blocks numpy, renders every static target through ``run_target``
+#: without a study argument, then checks no Study module was loaded
+RENDER_WITHOUT_STUDY = f"""
+import sys
+sys.modules["numpy"] = None
+from repro.harness.cli import run_target
+for target in {STATIC_TARGETS!r}:
+    assert run_target(target), target
+assert "repro.core.study" not in sys.modules
+"""
+
+
+def test_static_targets_render_without_a_study(tmp_path):
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", RENDER_WITHOUT_STUDY],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 #: blocks numpy, runs targets that read benchmark cells (fast, exact,
 #: under chaos, and twice on one cache directory: stores, then hits)
 #: with the exit codes they return with numpy, then checks numpy was

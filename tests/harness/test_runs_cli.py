@@ -15,6 +15,7 @@ import pytest
 from repro.core.resilience import DEGRADED_MARK
 from repro.core.study import Study, StudyConfig
 from repro.core.tables import build_table4
+from repro.faults.models import FaultPlan, NodeFailure
 from repro.harness.cli import main
 from repro.harness.runs_cli import (
     EXIT_REGRESSED,
@@ -171,6 +172,25 @@ class TestShow:
             f"t       (degraded)    {DEGRADED_MARK}\n"
         )
 
+    def test_degraded_study_run_shows_marker(self, history, capsys):
+        # every cell fails, so the recorded study target is degraded
+        study = Study(StudyConfig(
+            runs=2, seed=7, max_retries=0,
+            faults=FaultPlan("fail", (NodeFailure(probability=1.0),)),
+        ))
+        build_table4(study, machines=[get_machine("sawtooth")])
+        entry = record_study_run(study, targets=["table4"],
+                                 ledger=history["ledger"],
+                                 started=9.0, finished=10.0)
+        assert _runs(["show", entry.run_id], history) == 0
+        block = capsys.readouterr().out.split("\n\n")[1]
+        assert block.splitlines()[0] == (
+            "bench run: 1 target(s), 2 repeat(s), seed 7, faults fail"
+        )
+        assert block.splitlines()[-1].split() == [
+            "study", "(degraded)", DEGRADED_MARK,
+        ]
+
     def test_foreign_metrics_schema_exits_2(self, history, capsys):
         doc = {**_bench_doc(t={"sim.x_us": _row(1.0)}),
                "schema": "repro.bench/v0"}
@@ -216,6 +236,44 @@ class TestDiff:
         status, note = _verdicts(out)[f"study:{history['victim']}"]
         assert status == "FAIL" and "regression: mean" in note
         assert "REGRESSION: " in out
+
+    def test_run_against_itself_renders_ok(self, history, capsys):
+        run = _record(history, _bench_doc(t={"sim.x_us": _row(1.0)}))
+        assert _runs(["diff", run, run], history) == 0
+        out = capsys.readouterr().out
+        assert _verdicts(out) == {"t:sim.x_us": ("ok", "1 ±0 (n=3) 1 us "
+                                                       "[-2%, +2%]")}
+        assert "OK: 1 passed, 0 failed, 0 skipped" in out
+
+    def test_gating_regression_named_among_advisory_rows(self, history,
+                                                         capsys):
+        base = _record(history, _bench_doc(t={
+            "sim.latency_us": _row(1.0),
+            "wall_seconds": _row(0.1, unit="s", gate=False),
+        }))
+        current = _record(history, _bench_doc(t={
+            "sim.latency_us": _row(2.0),
+            "wall_seconds": _row(0.5, unit="s", gate=False),
+        }), started=11.0)
+        assert _runs(["diff", base, current], history) == EXIT_REGRESSED
+        out = capsys.readouterr().out
+        verdicts = _verdicts(out)
+        assert list(verdicts) == ["t:sim.latency_us"]
+        status, note = verdicts["t:sim.latency_us"]
+        assert status == "FAIL" and "regression: mean 2" in note
+        assert "REGRESSION: 0 passed, 1 failed, 0 skipped" in out
+        assert out.rstrip().endswith("not judged: t:wall_seconds (advisory)")
+
+    def test_target_missing_from_current_run_skips(self, history, capsys):
+        base = _record(history, _bench_doc(t={"sim.x_us": _row(1.0)}))
+        for targets, have in (({}, "[]"), ({"u": {}}, "['u']")):
+            current = _record(history, _bench_doc(**targets), started=11.0)
+            assert _runs(["diff", base, current], history) == 0
+            out = capsys.readouterr().out
+            status, note = _verdicts(out)["t:sim.x_us"]
+            assert status == "skip"
+            assert note.endswith(f"unknown target 't' (have {have})")
+            assert "OK: 0 passed, 0 failed, 1 skipped" in out
 
     def test_improvement_only_exits_0(self, history, capsys):
         better = copy.deepcopy(

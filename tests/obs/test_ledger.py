@@ -14,8 +14,10 @@ import pytest
 from repro.core.study import Study, StudyConfig
 from repro.core.tables import build_table4
 from repro.errors import LedgerError
+from repro.faults.models import FaultPlan, NodeFailure
 from repro.machines.registry import get_machine
 from repro.obs.ledger import (
+    BENCH_SCHEMA,
     LEDGER_SCHEMA,
     RunLedger,
     record_study_run,
@@ -241,3 +243,27 @@ class TestDocumentAssembly:
         assert doc["cells"]["total"] == len(study.cell_results) > 0
         assert doc["cells"]["degraded"] == 0
         assert doc["degraded"] == []
+
+    def test_cell_free_run_writes_an_empty_bench_doc(self):
+        # a run whose targets read no cell records its config, no Study
+        doc = study_metrics_doc(StudyConfig(runs=3, seed=5))
+        assert doc == {
+            "schema": BENCH_SCHEMA,
+            "config": {"repeats": 3, "seed": 5, "faults": "none"},
+            "targets": {"study": {"metrics": {}}},
+        }
+
+    def test_degraded_flag_survives_the_ledger(self, tmp_path, study):
+        failing = Study(StudyConfig(
+            runs=2, seed=7, max_retries=0,
+            faults=FaultPlan("fail", (NodeFailure(probability=1.0),)),
+        ))
+        build_table4(failing, machines=[get_machine("sawtooth")])
+        ledger = RunLedger(tmp_path)
+        flags = []
+        for run in (failing, study):
+            entry = record_study_run(run, targets=["table4"], ledger=ledger,
+                                     started=1.0, finished=2.0)
+            target = ledger.load(entry.run_id).metrics["targets"]["study"]
+            flags.append(target.get("degraded"))
+        assert flags == [True, None]
